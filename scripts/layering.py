@@ -173,7 +173,8 @@ class Analyzer:
 
     def _include_dirs(self, compile_commands: Path | None) -> list[Path]:
         """Include search path: -I entries from the compilation database
-        when one exists, plus the conventional src/ root."""
+        when one exists, plus the conventional roots every build adds
+        (src/ for all targets, bench/ for the bench targets)."""
         dirs: list[Path] = []
         if compile_commands and compile_commands.is_file():
             try:
@@ -197,7 +198,8 @@ class Analyzer:
                         p = p.resolve()
                         if p not in dirs:
                             dirs.append(p)
-        for conventional in (self.root / "src", self.root):
+        for conventional in (self.root / "src", self.root / "bench",
+                             self.root):
             if conventional not in dirs:
                 dirs.append(conventional)
         return dirs

@@ -22,6 +22,7 @@ constexpr std::array<std::string_view,
         "fusion",
         "adjacency",
         "shard_window",
+        "routing",
     }};
 
 /// Log-spaced 1-2-5 nanosecond buckets, 1 us .. 10 s.

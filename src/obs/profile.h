@@ -37,6 +37,7 @@ enum class Stage : std::size_t {
   kFusion,         ///< multi-modal accel+acoustic fusion (core/fusion)
   kAdjacency,      ///< spatial-index adjacency build (wsn/network)
   kShardWindow,    ///< one windowed-engine barrier window (wsn/network)
+  kRouting,        ///< one unicast route search (wsn/network)
   kCount,
 };
 

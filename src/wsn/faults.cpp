@@ -19,8 +19,9 @@ void validate_ge(const GilbertElliottParams& p) {
                 "GilbertElliott: loss probabilities must be in [0, 1]");
 }
 
-std::pair<NodeId, NodeId> link_key(NodeId a, NodeId b) {
-  return {std::min(a, b), std::max(a, b)};
+std::uint64_t link_key(NodeId a, NodeId b) {
+  return (static_cast<std::uint64_t>(std::min(a, b)) << 32) |
+         std::max(a, b);
 }
 
 }  // namespace
@@ -50,6 +51,9 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed)
   for (const auto& crash : plan_.crashes) {
     util::require(crash.time_s >= 0.0,
                   "FaultPlan: crash time must be non-negative");
+    const auto [it, inserted] =
+        earliest_crash_.try_emplace(crash.node, crash.time_s);
+    if (!inserted) it->second = std::min(it->second, crash.time_s);
   }
   for (const auto& override_spec : plan_.battery_overrides) {
     util::require(override_spec.battery_mj >= 0.0,
@@ -80,19 +84,14 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed)
 }
 
 bool FaultInjector::node_dead(NodeId node, double t) const {
-  for (const auto& crash : plan_.crashes) {
-    if (crash.node == node && t >= crash.time_s) return true;
-  }
-  return false;
+  const auto it = earliest_crash_.find(node);
+  return it != earliest_crash_.end() && t >= it->second;
 }
 
 std::optional<double> FaultInjector::crash_time(NodeId node) const {
-  std::optional<double> earliest;
-  for (const auto& crash : plan_.crashes) {
-    if (crash.node != node) continue;
-    if (!earliest || crash.time_s < *earliest) earliest = crash.time_s;
-  }
-  return earliest;
+  const auto it = earliest_crash_.find(node);
+  if (it == earliest_crash_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::optional<double> FaultInjector::battery_override(NodeId node) const {
@@ -118,22 +117,17 @@ bool FaultInjector::congestion_drops(double t) {
   return rng_.bernoulli(loss);
 }
 
-GilbertElliott& FaultInjector::chain_for(NodeId a, NodeId b) {
+bool FaultInjector::burst_drops(NodeId a, NodeId b) {
   // Per-link chains for explicit bursts were built in the constructor;
   // under all_links_burst every link lazily gets its own chain so bursts
   // on different links are independent.
   const auto key = link_key(a, b);
-  auto it = chains_.find(key);
-  if (it == chains_.end()) {
-    it = chains_.emplace(key, GilbertElliott(*plan_.all_links_burst)).first;
+  if (plan_.all_links_burst) {
+    return chains_.try_emplace(key, *plan_.all_links_burst)
+        .first->second.drops(rng_);
   }
-  return it->second;
-}
-
-bool FaultInjector::burst_drops(NodeId a, NodeId b) {
-  const auto key = link_key(a, b);
-  if (!plan_.all_links_burst && !chains_.contains(key)) return false;
-  return chain_for(a, b).drops(rng_);
+  const auto it = chains_.find(key);
+  return it != chains_.end() && it->second.drops(rng_);
 }
 
 std::optional<SensorFaultSpec> FaultInjector::sensor_fault(

@@ -20,9 +20,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "util/rng.h"
@@ -269,7 +268,8 @@ class GilbertElliott {
 };
 
 /// Runtime interpreter of a FaultPlan. Owned by the Network; queried on
-/// every routing decision and transmission attempt.
+/// every routing decision and transmission attempt, so both per-node and
+/// per-link lookups are single hash probes.
 class FaultInjector {
  public:
   FaultInjector(const FaultPlan& plan, std::uint64_t seed);
@@ -279,7 +279,8 @@ class FaultInjector {
   /// un-faulted RNG stream untouched.
   bool active() const { return !plan_.empty(); }
 
-  /// True when `node` has crash-stopped at or before time `t`.
+  /// True when `node` has crash-stopped at or before time `t` (its
+  /// earliest scheduled crash counts).
   bool node_dead(NodeId node, double t) const;
 
   /// Scheduled crash time for `node`, if any.
@@ -310,11 +311,12 @@ class FaultInjector {
   const FaultPlan& plan() const { return plan_; }
 
  private:
-  GilbertElliott& chain_for(NodeId a, NodeId b);
-
   FaultPlan plan_;
   util::Rng rng_;
-  std::map<std::pair<NodeId, NodeId>, GilbertElliott> chains_;
+  /// Earliest crash time of every node the plan crashes.
+  std::unordered_map<NodeId, double> earliest_crash_;
+  /// Burst chains keyed by undirected link (smaller id in the high word).
+  std::unordered_map<std::uint64_t, GilbertElliott> chains_;
 };
 
 }  // namespace sid::wsn

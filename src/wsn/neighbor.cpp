@@ -7,14 +7,6 @@
 
 namespace sid::wsn {
 
-namespace {
-
-/// Quality floor used only inside the ETX division, so a nearly-dead link
-/// costs a large-but-finite number of expected transmissions.
-constexpr double kEtxQualityFloor = 0.05;
-
-}  // namespace
-
 NeighborEntry* NeighborTable::find(NodeId id) {
   const auto it = std::lower_bound(
       entries_.begin(), entries_.end(), id,
@@ -134,10 +126,7 @@ bool NeighborTable::on_tx_failure(NodeId to, double t) {
 
 bool NeighborTable::usable(NodeId id, double t) const {
   const NeighborEntry* entry = find(id);
-  if (entry == nullptr) return false;
-  if (entry->quality < config_.min_quality) return false;
-  if (entry->suspected && t < entry->blacklist_until_s) return false;
-  return true;
+  return entry != nullptr && usable(*entry, t);
 }
 
 bool NeighborTable::suspects(NodeId id, double t) const {
@@ -153,15 +142,12 @@ double NeighborTable::quality(NodeId id) const {
 
 double NeighborTable::etx(NodeId id) const {
   const NeighborEntry* entry = find(id);
-  const double q =
-      entry == nullptr ? kEtxQualityFloor
-                       : std::max(entry->quality, kEtxQualityFloor);
-  return 1.0 / q;
+  return entry == nullptr ? 1.0 / kEtxQualityFloor : etx(*entry);
 }
 
 bool NeighborTable::any_usable(double t) const {
   return std::any_of(entries_.begin(), entries_.end(),
-                     [&](const NeighborEntry& e) { return usable(e.id, t); });
+                     [&](const NeighborEntry& e) { return usable(e, t); });
 }
 
 }  // namespace sid::wsn

@@ -19,6 +19,7 @@
 // and consults it for routing; nothing here can cheat.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -106,6 +107,12 @@ class NeighborTable {
   /// whose quarantine has expired is usable again (probation) until the
   /// next piece of negative evidence re-confirms the suspicion.
   bool usable(NodeId id, double t) const;
+  /// The same test on an entry of entries(), without the id lookup
+  /// (inline: route searches call it once per explored link).
+  bool usable(const NeighborEntry& entry, double t) const {
+    if (entry.quality < config_.min_quality) return false;
+    return !(entry.suspected && t < entry.blacklist_until_s);
+  }
 
   /// True while `id` is actively suspected dead (quarantine running).
   bool suspects(NodeId id, double t) const;
@@ -114,16 +121,26 @@ class NeighborTable {
   double quality(NodeId id) const;
 
   /// Expected transmission count for the link (1/quality, floored so a
-  /// barely-alive link costs much but not infinitely).
+  /// barely-alive link costs much but not infinitely). At least 1 while
+  /// ewma_alpha is in [0, 1], which keeps quality in [0, 1].
   double etx(NodeId id) const;
+  /// The same cost for an entry of entries(), without the id lookup.
+  static double etx(const NeighborEntry& entry) {
+    return 1.0 / std::max(entry.quality, kEtxQualityFloor);
+  }
 
   /// True when at least one neighbor is currently usable.
   bool any_usable(double t) const;
 
+  /// Every deployment neighbor, ascending by id.
   const std::vector<NeighborEntry>& entries() const { return entries_; }
   NodeId self() const { return self_; }
 
  private:
+  /// Quality floor used only inside the ETX division, so a nearly-dead
+  /// link costs a large-but-finite number of expected transmissions.
+  static constexpr double kEtxQualityFloor = 0.05;
+
   NeighborEntry* find(NodeId id);
   const NeighborEntry* find(NodeId id) const;
   /// Marks (or re-confirms) a suspicion; returns true only on the fresh

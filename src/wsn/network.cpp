@@ -5,7 +5,6 @@
 #include <deque>
 #include <limits>
 #include <memory>
-#include <queue>
 #include <string_view>
 #include <unordered_set>
 #include <utility>
@@ -122,6 +121,11 @@ Network::Network(const NetworkConfig& config)
   util::require(config.sink_node < config.rows * config.cols,
                 "Network: sink_node out of grid");
   util::require(config.shards >= 1, "Network: shards must be at least 1");
+  // Keeps every learned quality in [0, 1], hence every ETX >= 1: the
+  // premise of the route search's lower bound (learned_path).
+  util::require(config.neighbor.ewma_alpha >= 0.0 &&
+                    config.neighbor.ewma_alpha <= 1.0,
+                "Network: neighbor.ewma_alpha must be in [0, 1]");
   util::require(config.radio.hop_delay_fixed_s > 0.0,
                 "Network: hop_delay_fixed_s must be positive (it is the "
                 "windowed engine's lookahead)");
@@ -532,7 +536,8 @@ std::size_t Network::events_executed_total() const {
 
 std::optional<std::vector<NodeId>> Network::shortest_path(NodeId from,
                                                           NodeId to,
-                                                          double t) const {
+                                                          double t) {
+  SID_PROFILE_STAGE(obs::Stage::kRouting);
   util::require(from < nodes_.size() && to < nodes_.size(),
                 "Network::shortest_path: bad id");
   if (config_.routing == RoutingMode::kSelfHealing) {
@@ -543,49 +548,87 @@ std::optional<std::vector<NodeId>> Network::shortest_path(NodeId from,
 
 std::optional<std::vector<NodeId>> Network::learned_path(NodeId from,
                                                          NodeId to,
-                                                         double t) const {
-  // ETX Dijkstra over what each relay's own table currently believes:
-  // edge u -> v exists iff u's table holds v usable, weighted by the
-  // expected transmission count of the estimated link. No oracle input;
-  // a stale belief simply routes into a failed hop, which feeds back
-  // into the estimate.
+                                                         double t) {
+  // Least-ETX search over what each relay's own table currently
+  // believes: edge u -> v exists iff u's table holds v usable, weighted
+  // by the expected transmission count of the estimated link. No oracle
+  // input; a stale belief simply routes into a failed hop, which feeds
+  // back into the estimate.
   // A dead source cannot transmit at all — that is the node's own state
   // (can_execute), not oracle knowledge about a peer.
   if (!can_execute(from, t)) return std::nullopt;
   if (from == to) return std::vector<NodeId>{from};
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(nodes_.size(), kInf);
-  // kNoParent, never kSinkId: the sink's reserved address shares the
-  // numeric value, and reusing it as the search sentinel is exactly the
-  // bug that made sink-addressed traffic unroutable (wsn/messages.h).
-  std::vector<NodeId> parent(nodes_.size(), kNoParent);
-  using Item = std::pair<double, NodeId>;  // (cost, node); node breaks ties
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  dist[from] = 0.0;
-  heap.emplace(0.0, from);
-  while (!heap.empty()) {
-    const auto [cost, u] = heap.top();
-    heap.pop();
-    if (cost > dist[u]) continue;  // stale heap entry
+  RouteScratch& s = route_scratch_;
+  if (s.cost.empty()) {
+    s.cost.assign(nodes_.size(), kInf);
+    // kNoParent, never kSinkId: the sink's reserved address shares the
+    // numeric value, and reusing it as the search sentinel is exactly the
+    // bug that made sink-addressed traffic unroutable (wsn/messages.h).
+    s.parent.assign(nodes_.size(), kNoParent);
+  }
+  for (const NodeId v : s.touched) {
+    s.cost[v] = kInf;
+    s.parent[v] = kNoParent;
+  }
+  s.touched.clear();
+  s.heap.clear();
+  // Goal direction (DESIGN.md §5f): every usable link is at most
+  // max_range_m long and costs ETX >= 1, so the straight-line distance
+  // to `to` in radio ranges, shrunk by 1e-6 to absorb rounding, is a
+  // consistent lower bound on the remaining cost. Ordering the heap by
+  // cost + bound settles nodes with the same costs Dijkstra computes
+  // while exploring only around the route.
+  const util::Vec2 goal = nodes_[to].anchor;
+  const double bound_per_m = (1.0 - 1e-6) / radio_.config().max_range_m;
+  const auto later = [](const RouteItem& a, const RouteItem& b) {
+    return a.key != b.key ? a.key > b.key : a.node > b.node;
+  };
+  const auto push = [&](NodeId v, double cost) {
+    const double bound = bound_per_m * util::distance(nodes_[v].anchor, goal);
+    s.heap.push_back({cost + bound, cost, v});
+    std::push_heap(s.heap.begin(), s.heap.end(), later);
+  };
+  s.cost[from] = 0.0;
+  s.touched.push_back(from);
+  push(from, 0.0);
+  while (!s.heap.empty()) {
+    std::pop_heap(s.heap.begin(), s.heap.end(), later);
+    const RouteItem item = s.heap.back();
+    s.heap.pop_back();
+    const NodeId u = item.node;
+    if (item.cost > s.cost[u]) continue;  // stale heap entry
     if (u == to) break;
-    for (const NodeId v : adjacency_[u]) {
-      if (!tables_[u].usable(v, t)) continue;
+    const NeighborTable& table = tables_[u];
+    for (const NeighborEntry& entry : table.entries()) {
+      const NodeId v = entry.id;
+      if (!table.usable(entry, t)) continue;
       // Quarantined identities are excluded as relays (but remain
       // addressable as final destinations, e.g. for transport acks).
       if (!qview_.empty() && v != to && qview_[u][v] != 0) continue;
-      const double next = cost + tables_[u].etx(v);
-      if (next < dist[v]) {
-        dist[v] = next;
-        parent[v] = u;
-        heap.emplace(next, v);
+      const double next = item.cost + NeighborTable::etx(entry);
+      if (next < s.cost[v]) {
+        if (s.cost[v] == kInf) s.touched.push_back(v);
+        s.cost[v] = next;
+        s.parent[v] = u;
+        push(v, next);
+      } else if (next == s.cost[v]) {
+        // Tie contract: Dijkstra settles in (cost, id) order and keeps
+        // the first predecessor to reach a node's final cost. The bound
+        // reorders settling, so the same predecessor is chosen here
+        // explicitly: the least by (cost, id).
+        const NodeId p = s.parent[v];
+        if (item.cost < s.cost[p] || (item.cost == s.cost[p] && u < p)) {
+          s.parent[v] = u;
+        }
       }
     }
   }
-  if (parent[to] == kNoParent) return std::nullopt;
+  if (s.parent[to] == kNoParent) return std::nullopt;
   std::vector<NodeId> path{to};
   NodeId cur = to;
   while (cur != from) {
-    cur = parent[cur];
+    cur = s.parent[cur];
     path.push_back(cur);
   }
   std::reverse(path.begin(), path.end());
@@ -625,11 +668,9 @@ std::optional<std::vector<NodeId>> Network::oracle_path(NodeId from,
   return std::nullopt;
 }
 
-std::optional<std::size_t> Network::hop_distance(NodeId a, NodeId b) const {
-  const auto path =
-      shortest_path(resolve_address(a), resolve_address(b), events_.now());
-  if (!path) return std::nullopt;
-  return path->size() - 1;
+std::optional<std::vector<NodeId>> Network::route(NodeId a, NodeId b) {
+  return shortest_path(resolve_address(a), resolve_address(b),
+                       events_.now());
 }
 
 void Network::set_delivery_handler(DeliveryHandler handler) {

@@ -2,10 +2,11 @@
 //
 // Deployment follows the paper (§III-A): nodes are "deployed manually in
 // grid fashion", positions "assigned at the time when they are deployed",
-// clocks synchronized beforehand. Delivery uses shortest-hop paths over
-// the connectivity graph (greedy geographic routing degenerates to this
-// on a grid); each hop applies the radio's loss and delay. A bounded
-// retransmission count models link-layer ARQ.
+// clocks synchronized beforehand. Delivery follows least-ETX routes over
+// what each relay's learned neighbor table believes (shortest hop paths
+// over the live topology in the oracle baseline); each hop applies the
+// radio's loss and delay. A bounded retransmission count models
+// link-layer ARQ.
 #pragma once
 
 #include <cstddef>
@@ -240,9 +241,11 @@ class Network {
   /// learned neighbor table's call at traversal time.
   const std::vector<NodeId>& neighbors(NodeId id) const;
 
-  /// Hop distance between two nodes over the live topology (BFS);
-  /// nullopt if disconnected or either endpoint is dead/depleted.
-  std::optional<std::size_t> hop_distance(NodeId a, NodeId b) const;
+  /// The route a unicast from `a` to `b` would take now, endpoints
+  /// included (kSinkId resolves to the gateway): the least-ETX learned
+  /// route in self-healing mode, the oracle's shortest live hop path
+  /// otherwise. nullopt when no route exists. Hop count is size() - 1.
+  std::optional<std::vector<NodeId>> route(NodeId a, NodeId b);
 
   /// True when `id` can participate in the network at time `t`: not
   /// crash-stopped by the fault plan and battery not depleted. A
@@ -300,11 +303,11 @@ class Network {
 
   void set_delivery_handler(DeliveryHandler handler);
 
-  /// Sends `msg` from msg.src to msg.dst over the shortest hop path of
-  /// the live topology (routes are recomputed around dead/depleted
-  /// nodes). Each hop may fail (after retransmissions the whole message
-  /// drops). On success the delivery handler fires at the accumulated
-  /// delay.
+  /// Sends `msg` from msg.src to msg.dst along route(msg.src, msg.dst),
+  /// recomputed per message from current beliefs (the live topology in
+  /// oracle mode). Each hop may fail (after retransmissions the whole
+  /// message drops). On success the delivery handler fires at the
+  /// accumulated delay.
   UnicastOutcome unicast(Message msg);
 
   /// Floods `msg` from msg.src to every node within `hops` hops. The
@@ -378,18 +381,19 @@ class Network {
   void beacon_tick(std::size_t s, NodeId id);
   /// Commits one window's outboxes in canonical (time, sender) order.
   void commit_beacon_records();
-  /// Routing dispatch: oracle BFS or learned-table ETX Dijkstra.
+  /// Routing dispatch: oracle BFS or the learned-table ETX search.
   std::optional<std::vector<NodeId>> shortest_path(NodeId from, NodeId to,
-                                                   double t) const;
+                                                   double t);
   /// Legacy oracle BFS over the live topology at time `t`.
   std::optional<std::vector<NodeId>> oracle_path(NodeId from, NodeId to,
                                                  double t) const;
-  /// ETX Dijkstra over the sender-side neighbor tables: each relay only
-  /// uses links its own table currently believes usable. The result may
-  /// include dead relays (beliefs lag reality); physics sorts it out at
-  /// transmission time.
+  /// Least-ETX route over the sender-side neighbor tables: each relay
+  /// only uses links its own table currently believes usable. A goal-
+  /// directed search that returns exactly the route plain ETX Dijkstra
+  /// would (DESIGN.md §5f). The result may include dead relays (beliefs
+  /// lag reality); physics sorts it out at transmission time.
   std::optional<std::vector<NodeId>> learned_path(NodeId from, NodeId to,
-                                                  double t) const;
+                                                  double t);
   /// Simulates one hop; returns the delay on success. In self-healing
   /// mode the outcome also feeds the sender's link estimate.
   std::optional<double> try_hop(const NodeInfo& from, const NodeInfo& to,
@@ -502,6 +506,22 @@ class Network {
   std::unique_ptr<util::ThreadPool> shard_pool_;
   /// Per-node learned link state (self-healing mode; empty otherwise).
   std::vector<NeighborTable> tables_;
+  /// learned_path scratch, sized to the field on first use and reset
+  /// through `touched` so a search costs only what it explores. Routes
+  /// are computed on the global queue and from API calls only, never in
+  /// the phase-A beacon lanes, so one copy serves every search.
+  struct RouteItem {
+    double key = 0.0;  ///< cost so far + lower bound to the target
+    double cost = 0.0;
+    NodeId node = 0;
+  };
+  struct RouteScratch {
+    std::vector<double> cost;   ///< best known cost (inf = untouched)
+    std::vector<NodeId> parent;
+    std::vector<NodeId> touched;
+    std::vector<RouteItem> heap;
+  };
+  RouteScratch route_scratch_;
   /// Boot-discovery sampling stream, seeded with the beacon seed itself
   /// (the per-node tick streams are its sub-streams 1 + id). Boot
   /// discovery runs serially at construction, so one stream suffices.

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/sid_system.h"
@@ -80,6 +81,75 @@ TEST(FaultInjectorTest, CrashStopKillsNodeFromItsTime) {
   EXPECT_EQ(*injector.crash_time(3), 50.0);
 }
 
+TEST(FaultInjectorTest, EarliestOfSeveralCrashesWins) {
+  wsn::FaultPlan plan;
+  plan.crashes.push_back({7, 80.0});
+  plan.crashes.push_back({7, 30.0});
+  const wsn::FaultInjector injector(plan, 1);
+  EXPECT_FALSE(injector.node_dead(7, 29.9));
+  EXPECT_TRUE(injector.node_dead(7, 30.0));  // the crash instant counts
+  EXPECT_TRUE(injector.node_dead(7, 50.0));
+  ASSERT_TRUE(injector.crash_time(7).has_value());
+  EXPECT_EQ(*injector.crash_time(7), 30.0);
+}
+
+TEST(FaultInjectorTest, NodeDeadMatchesTheLinearDefinition) {
+  // Property: over a random plan with repeated and never-crashed nodes,
+  // node_dead(n, t) holds iff some crash entry of n is at or before t.
+  // Half the probes sit exactly on a scheduled crash time.
+  util::Rng rng(2024);
+  wsn::FaultPlan plan;
+  for (int i = 0; i < 300; ++i) {
+    plan.crashes.push_back({static_cast<wsn::NodeId>(rng.uniform_int(120)),
+                            rng.uniform(0.0, 100.0)});
+  }
+  const wsn::FaultInjector injector(plan, 1);
+  for (int probe = 0; probe < 20'000; ++probe) {
+    const auto node = static_cast<wsn::NodeId>(rng.uniform_int(150));
+    const double t = probe % 2 == 0
+                         ? plan.crashes[rng.uniform_int(300)].time_s
+                         : rng.uniform(-1.0, 110.0);
+    const bool linear =
+        std::any_of(plan.crashes.begin(), plan.crashes.end(),
+                    [&](const wsn::NodeCrash& c) {
+                      return c.node == node && t >= c.time_s;
+                    });
+    ASSERT_EQ(injector.node_dead(node, t), linear)
+        << "node " << node << " t " << t;
+  }
+}
+
+TEST(FaultInjectorTest, BurstDropsDrawOnlyOnConfiguredLinks) {
+  // Reference model: one chain per configured undirected link, all
+  // drawing from one stream seeded like the injector's. Unconfigured
+  // links never draw, so the stream order is the configured attempts'.
+  wsn::GilbertElliottParams a_params;
+  a_params.p_enter_bad = 0.3;
+  wsn::GilbertElliottParams b_params;
+  b_params.p_exit_bad = 0.05;
+  b_params.loss_good = 0.1;
+  wsn::FaultPlan plan;
+  plan.link_bursts.push_back({2, 5, a_params});
+  plan.link_bursts.push_back({9, 4, b_params});
+  wsn::FaultInjector injector(plan, 77);
+  wsn::GilbertElliott ref_a(a_params);
+  wsn::GilbertElliott ref_b(b_params);
+  util::Rng ref_rng(77);
+  util::Rng pick(5);
+  const std::vector<std::pair<wsn::NodeId, wsn::NodeId>> links = {
+      {2, 5}, {5, 2}, {4, 9}, {9, 4}, {2, 4}, {5, 9}};
+  for (int i = 0; i < 5'000; ++i) {
+    const auto [from, to] = links[pick.uniform_int(links.size())];
+    bool expected = false;
+    if (std::min(from, to) == 2 && std::max(from, to) == 5) {
+      expected = ref_a.drops(ref_rng);
+    } else if (std::min(from, to) == 4 && std::max(from, to) == 9) {
+      expected = ref_b.drops(ref_rng);
+    }
+    ASSERT_EQ(injector.burst_drops(from, to), expected) << "attempt " << i;
+  }
+}
+
 TEST(FaultInjectorTest, CongestionLossIsMaxOverOverlappingWindows) {
   wsn::FaultPlan plan;
   plan.congestion.push_back({10.0, 30.0, 0.2});
@@ -142,17 +212,18 @@ TEST(FaultyNetworkTest, DeadNodeGoesDarkAndRoutingDetours) {
 
   net.events().schedule_at(50.0, [&] {
     EXPECT_TRUE(net.node_operational(centre, 50.0));
-    const auto hops = net.hop_distance(corner_a, corner_b);
-    ASSERT_TRUE(hops.has_value());
-    EXPECT_EQ(*hops, 2u);  // through the centre
+    const auto path = net.route(corner_a, corner_b);
+    ASSERT_TRUE(path.has_value());
+    EXPECT_EQ(path->size() - 1, 2u);  // through the centre
   });
   net.events().schedule_at(150.0, [&] {
     EXPECT_FALSE(net.node_operational(centre, 150.0));
     // Routing recomputes around the dead node: still connected, but the
     // direct diagonal is gone.
-    const auto hops = net.hop_distance(corner_a, corner_b);
-    ASSERT_TRUE(hops.has_value());
-    EXPECT_EQ(*hops, 3u);
+    const auto path = net.route(corner_a, corner_b);
+    ASSERT_TRUE(path.has_value());
+    EXPECT_EQ(path->size() - 1, 3u);
+    EXPECT_EQ(std::count(path->begin(), path->end(), centre), 0);
     // Unicasts to the dead node are reported unroutable, not dropped.
     EXPECT_EQ(net.unicast(report_msg(corner_a, centre)),
               wsn::UnicastOutcome::kUnroutable);
@@ -184,9 +255,10 @@ TEST(FaultyNetworkTest, DepletedRelayGoesDarkAndReportsUnroutable) {
   const wsn::NodeId a = net.id_at(0, 0);
   const wsn::NodeId relay = net.id_at(0, 1);
   const wsn::NodeId b = net.id_at(0, 2);
-  const auto hops = net.hop_distance(a, b);
-  ASSERT_TRUE(hops.has_value());
-  ASSERT_EQ(*hops, 2u);  // the ends are out of direct range
+  const auto path = net.route(a, b);
+  ASSERT_TRUE(path.has_value());
+  // The ends are out of direct range.
+  ASSERT_EQ(*path, (std::vector<wsn::NodeId>{a, relay, b}));
 
   std::size_t delivered = 0, unroutable = 0;
   for (int i = 0; i < 30; ++i) {

@@ -467,6 +467,7 @@ TEST(ProfileTest, StageNamesAndRegistryEntriesLineUp) {
     EXPECT_EQ(&h, profile_registry().find_histogram(expected)) << expected;
   }
   EXPECT_EQ(stage_name(Stage::kEventDispatch), "event_dispatch");
+  EXPECT_EQ(stage_name(Stage::kRouting), "routing");
 }
 
 }  // namespace

@@ -275,10 +275,14 @@ TEST(NetworkTest, NeighborsWithinRadioRange) {
 
 TEST(NetworkTest, HopDistanceReflectsGrid) {
   Network net(small_grid());
-  EXPECT_EQ(net.hop_distance(net.id_at(0, 0), net.id_at(0, 0)), 0u);
-  const auto d = net.hop_distance(net.id_at(0, 0), net.id_at(3, 4));
-  ASSERT_TRUE(d.has_value());
-  EXPECT_GE(*d, 2u);  // 75+100 m away needs at least 2 hops at 70 m range
+  const auto self = net.route(net.id_at(0, 0), net.id_at(0, 0));
+  ASSERT_TRUE(self.has_value());
+  EXPECT_EQ(self->size() - 1, 0u);
+  const auto path = net.route(net.id_at(0, 0), net.id_at(3, 4));
+  ASSERT_TRUE(path.has_value());
+  EXPECT_GE(path->size() - 1, 2u);  // 75+100 m away needs >= 2 hops at 70 m
+  EXPECT_EQ(path->front(), net.id_at(0, 0));
+  EXPECT_EQ(path->back(), net.id_at(3, 4));
 }
 
 TEST(NetworkTest, UnicastDeliversWithHandler) {
@@ -336,7 +340,7 @@ TEST(NetworkTest, SelfUnicastDelivers) {
 // unicast addressed to the sink's reserved id fell into the
 // nonexistent-destination branch and died as kUnroutable. The fix gives
 // the searches a dedicated kNoParent sentinel and resolves kSinkId to
-// NetworkConfig::sink_node at the unicast/hop_distance entry points.
+// NetworkConfig::sink_node at the unicast/route entry points.
 // These tests fail on the pre-fix routing code.
 
 TEST(SinkSentinelRegression, ReservedSinkAddressRoutesToGateway) {
@@ -364,11 +368,12 @@ TEST(SinkSentinelRegression, ReservedSinkAddressRoutesToGateway) {
   EXPECT_EQ(net.stats().unicasts_unroutable, 0u);
   EXPECT_GT(net.stats().hops_traversed, 1u);
 
-  // hop_distance accepts the reserved address too (pre-fix: aborted on
-  // the bad-id require).
-  const auto d = net.hop_distance(net.id_at(3, 4), kSinkId);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_GE(*d, 2u);
+  // route accepts the reserved address too (pre-fix: aborted on the
+  // bad-id require).
+  const auto path = net.route(net.id_at(3, 4), kSinkId);
+  ASSERT_TRUE(path.has_value());
+  EXPECT_GE(path->size() - 1, 2u);
+  EXPECT_EQ(path->back(), net.sink_node());
 }
 
 // A 1x5 line where the gateway sits mid-line: the only route to the far
@@ -405,7 +410,9 @@ TEST(SinkSentinelRegression, RouteThroughMidlineSink) {
     to_sink.dst = kSinkId;
     to_sink.payload = ClusterDecision{};
     EXPECT_EQ(net.unicast(to_sink), UnicastOutcome::kDelivered);
-    EXPECT_EQ(net.hop_distance(0, kSinkId), 3u);
+    const auto to_sink_route = net.route(0, kSinkId);
+    ASSERT_TRUE(to_sink_route.has_value());
+    EXPECT_EQ(*to_sink_route, (std::vector<NodeId>{0, 1, 2, 3}));
 
     // 0 -> 4: the sink is the penultimate hop of the only route. Plain
     // addressing, unchanged by the fix (the alias only rewrites the
@@ -415,7 +422,9 @@ TEST(SinkSentinelRegression, RouteThroughMidlineSink) {
     through.dst = 4;
     through.payload = ClusterDecision{};
     EXPECT_EQ(net.unicast(through), UnicastOutcome::kDelivered);
-    EXPECT_EQ(net.hop_distance(0, 4), 4u);
+    const auto through_route = net.route(0, 4);
+    ASSERT_TRUE(through_route.has_value());
+    EXPECT_EQ(*through_route, (std::vector<NodeId>{0, 1, 2, 3, 4}));
 
     net.run_events();
     EXPECT_EQ(sink_deliveries, 1);
@@ -440,6 +449,16 @@ TEST(NetworkTest, ZeroShardsThrows) {
   NetworkConfig cfg = small_grid();
   cfg.shards = 0;
   EXPECT_THROW(Network net(cfg), util::InvalidArgument);
+}
+
+TEST(NetworkTest, EwmaWeightOutsideUnitIntervalThrows) {
+  // Link quality must stay in [0, 1] so every ETX is at least 1, which
+  // the route search's lower bound relies on.
+  for (const double alpha : {-0.1, 1.5}) {
+    NetworkConfig cfg = small_grid();
+    cfg.neighbor.ewma_alpha = alpha;
+    EXPECT_THROW(Network net(cfg), util::InvalidArgument) << alpha;
+  }
 }
 
 TEST(NetworkTest, ZeroHopDelayFloorThrows) {
