@@ -1,6 +1,6 @@
 // google-benchmark throughput of the multi-modal extension (§VII):
-// hydrophone contact synthesis, batch accel+acoustic fusion, and the
-// sink's streaming MultiModalFuser. Shares the perf_* harness
+// hydrophone contact synthesis and the sink's streaming MultiModalFuser
+// (which records the fusion stage itself). Shares the perf_* harness
 // (bench_json_main.h): --smoke dumps the per-stage wall-time histograms
 // as schema-stable BENCH_acoustic_fusion.json (validated in CI by
 // scripts/check_obs_schema.py, trended against bench/baselines/).
@@ -16,7 +16,6 @@
 #include "bench_common.h"
 #include "bench_json_main.h"
 #include "core/fusion.h"
-#include "core/node_detector.h"
 #include "obs/profile.h"
 #include "shipwave/ship.h"
 #include "util/rng.h"
@@ -45,54 +44,14 @@ void BM_HydrophoneContactSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_HydrophoneContactSweep)->Arg(300)->Arg(1800);
 
-// Synthetic interleaved evidence: n alarms and n contacts spread over a
-// window sized so some pairs associate and some stand alone.
-void make_evidence(std::size_t n, std::vector<core::Alarm>& alarms,
-                   std::vector<acoustic::AcousticContact>& contacts) {
-  util::Rng rng(7);
-  double t = 100.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    t += rng.uniform(5.0, 45.0);
-    core::Alarm alarm;
-    alarm.onset_time_s = t;
-    alarms.push_back(alarm);
-    acoustic::AcousticContact contact;
-    contact.time_s = t + rng.uniform(-20.0, 60.0);
-    contact.snr_db = rng.uniform(6.0, 18.0);
-    contacts.push_back(contact);
-  }
-}
-
-void BM_FuseDetectionsBatch(benchmark::State& state) {
-  std::vector<core::Alarm> alarms;
-  std::vector<acoustic::AcousticContact> contacts;
-  make_evidence(static_cast<std::size_t>(state.range(0)), alarms, contacts);
-  core::FusionConfig cfg;
-  cfg.policy = state.range(1) == 0 ? core::FusionPolicy::kOr
-                                   : core::FusionPolicy::kAnd;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::fuse_detections(alarms, contacts, cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * state.range(0));
-}
-BENCHMARK(BM_FuseDetectionsBatch)
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({1024, 1});
-
 void BM_MultiModalStreamingIngest(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   // Pre-drawn jitter keeps the RNG off the measured path.
   util::Rng rng(11);
   std::vector<double> jitter(n);
   for (auto& j : jitter) j = rng.uniform(0.0, 25.0);
-  core::MultiModalConfig cfg;
   for (auto _ : state) {
-    // The streaming path bypasses fuse_detections, so record the fusion
-    // stage here.
-    SID_PROFILE_STAGE(obs::Stage::kFusion);
-    core::MultiModalFuser fuser(cfg);
-    fuser.reset(0.0);
+    core::MultiModalFuser fuser;
     double t = 100.0;
     for (std::size_t i = 0; i < n; ++i) {
       t += jitter[i];

@@ -1,12 +1,12 @@
 // Multi-modal fusion ablation: sink detection recall under growing
-// fault/attack load, for five fusion arms on identical scenarios:
+// fault/attack load, for four fusion arms on identical scenarios:
 //
-//   accel_only    — fuser's acoustic lane disabled (the paper's pipeline)
+//   accel_only    — fuser's acoustic lane disabled (the paper's pipeline;
+//                   also the ladder's surviving-accel rung: kAnd with the
+//                   acoustic lane down from the start)
 //   acoustic_only — fuser's accel lane disabled (hydrophone contacts only)
 //   or_fused      — OR over both modalities
 //   and_fused     — AND (cross-modal agreement) with graceful degradation
-//   degraded      — AND with the acoustic lane quarantined from the start
-//                   (the ladder's surviving-modality rung, pinned)
 //
 // Every arm runs defended (wsn/defense with the acoustic plausibility
 // checks) over the same fault + attack plan: hydrophone contact dropout,
@@ -28,6 +28,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "bench_common.h"
@@ -47,12 +48,13 @@ struct SweepSettings {
   std::vector<double> fractions{0.0, 0.1, 0.2, 0.3, 0.4};
 };
 
-enum class Arm { kAccelOnly, kAcousticOnly, kOr, kAnd, kDegraded };
+enum class Arm { kAccelOnly, kAcousticOnly, kOr, kAnd };
 
 constexpr const char* kArmKeys[] = {"accel_only", "acoustic_only", "or_fused",
-                                    "and_fused", "degraded"};
+                                    "and_fused"};
 constexpr Arm kArms[] = {Arm::kAccelOnly, Arm::kAcousticOnly, Arm::kOr,
-                         Arm::kAnd, Arm::kDegraded};
+                         Arm::kAnd};
+constexpr std::size_t kArmCount = std::size(kArms);
 
 struct ArmPoint {
   int detections = 0;
@@ -76,7 +78,7 @@ struct ArmPoint {
 
 struct SweepPoint {
   double fraction = 0.0;
-  ArmPoint arms[5];
+  ArmPoint arms[kArmCount];
 };
 
 core::SidSystemConfig base_config(const SweepSettings& s,
@@ -100,7 +102,7 @@ core::SidSystemConfig base_config(const SweepSettings& s,
 }
 
 void apply_arm(core::SidSystemConfig& cfg, Arm arm) {
-  cfg.fusion.base.policy = core::FusionPolicy::kAnd;
+  cfg.fusion.policy = core::FusionPolicy::kAnd;
   switch (arm) {
     case Arm::kAccelOnly:
       cfg.fusion.use_acoustic = false;
@@ -109,14 +111,9 @@ void apply_arm(core::SidSystemConfig& cfg, Arm arm) {
       cfg.fusion.use_accel = false;
       break;
     case Arm::kOr:
-      cfg.fusion.base.policy = core::FusionPolicy::kOr;
+      cfg.fusion.policy = core::FusionPolicy::kOr;
       break;
     case Arm::kAnd:
-      break;
-    case Arm::kDegraded:
-      // The ladder's surviving-modality rung, pinned from t=0: AND whose
-      // acoustic lane is quarantined degrades to OR over the accel lane.
-      cfg.fusion.base.acoustic_quarantined = true;
       break;
   }
 }
@@ -254,7 +251,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       // Tiny grid, two sweep points: exercises every fault/attack class,
-      // all five arms, and the gates inside a ctest/ASan budget.
+      // all four arms, and the gates inside a ctest/ASan budget.
       settings.rows = 4;
       settings.cols = 4;
       settings.duration_s = 160.0;
@@ -270,7 +267,7 @@ int main(int argc, char** argv) {
   for (const double fraction : settings.fractions) {
     SweepPoint point;
     point.fraction = fraction;
-    for (std::size_t a = 0; a < 5; ++a) {
+    for (std::size_t a = 0; a < kArmCount; ++a) {
       point.arms[a] = run_arm(settings, fraction, kArms[a]);
     }
     curve.push_back(point);
@@ -284,8 +281,9 @@ int main(int argc, char** argv) {
   std::printf("  \"fusion_curve\": [\n");
   for (std::size_t i = 0; i < curve.size(); ++i) {
     std::printf("    {\"fraction\": %.2f, ", curve[i].fraction);
-    for (std::size_t a = 0; a < 5; ++a) {
-      emit_arm(kArmKeys[a], curve[i].arms[a], a + 1 < 5 ? ", " : "}");
+    for (std::size_t a = 0; a < kArmCount; ++a) {
+      emit_arm(kArmKeys[a], curve[i].arms[a],
+               a + 1 < kArmCount ? ", " : "}");
     }
     std::printf("%s\n", i + 1 < curve.size() ? "," : "");
   }
@@ -316,7 +314,7 @@ int main(int argc, char** argv) {
   // Gate 2: no forged acoustic contact may ever be accepted; and when
   // forgeries were injected, the defense must actually be filtering.
   for (const auto& p : curve) {
-    for (std::size_t a = 0; a < 5; ++a) {
+    for (std::size_t a = 0; a < kArmCount; ++a) {
       if (p.arms[a].forged_accepted != 0) {
         std::fprintf(stderr,
                      "fusion_ablation: %llu forged acoustic contacts "
@@ -341,7 +339,7 @@ int main(int argc, char** argv) {
 
   // Gate 3: faulted nodes are honest — zero false quarantines anywhere.
   for (const auto& p : curve) {
-    for (std::size_t a = 0; a < 5; ++a) {
+    for (std::size_t a = 0; a < kArmCount; ++a) {
       if (p.arms[a].false_quarantines != 0) {
         std::fprintf(stderr,
                      "fusion_ablation: %llu false quarantines (arm %s, "

@@ -5,167 +5,51 @@
 
 #include "obs/profile.h"
 #include "util/check.h"
-#include "util/error.h"
 
 namespace sid::core {
 
-std::vector<FusedDetection> fuse_detections(
-    std::span<const Alarm> alarms,
-    std::span<const acoustic::AcousticContact> contacts,
-    const FusionConfig& config) {
-  SID_PROFILE_STAGE(obs::Stage::kFusion);
-  util::require(config.association_window_s > 0.0,
-                "fuse_detections: association window must be positive");
-  util::require(config.dedup_window_s >= 0.0,
-                "fuse_detections: dedup window must be non-negative");
-
-  // Candidate events: (time, is_accel) sorted by time.
-  struct Event {
-    double time;
-    bool accel;
-  };
-  // Quarantined modalities contribute no evidence at all (wsn/defense
-  // revoked their source identity); with both quarantined, nothing fuses.
-  if (config.accel_quarantined && config.acoustic_quarantined) return {};
-  std::vector<Event> events;
-  events.reserve(alarms.size() + contacts.size());
-  if (!config.accel_quarantined) {
-    for (const auto& a : alarms) {
-      SID_DCHECK(std::isfinite(a.onset_time_s),
-                 "fuse_detections: non-finite alarm onset time");
-      events.push_back({a.onset_time_s, true});
-    }
-  }
-  if (!config.acoustic_quarantined) {
-    for (const auto& c : contacts) {
-      SID_DCHECK(std::isfinite(c.time_s),
-                 "fuse_detections: non-finite acoustic contact time");
-      events.push_back({c.time_s, false});
-    }
-  }
-  std::sort(events.begin(), events.end(),
-            [](const Event& a, const Event& b) { return a.time < b.time; });
-
-  std::vector<FusedDetection> fused;
-  auto emit = [&](double t, bool accel, bool acoustic) {
-    if (!fused.empty() &&
-        t - fused.back().time_s <= config.dedup_window_s) {
-      fused.back().has_accel |= accel;
-      fused.back().has_acoustic |= acoustic;
-      return;
-    }
-    fused.push_back(FusedDetection{t, accel, acoustic});
-  };
-
-  // Graceful degradation: with exactly one modality quarantined, the AND
-  // requirement cannot be met by any event — the survivor's evidence
-  // would be discarded wholesale. Degrade to OR over what remains.
-  const bool degraded =
-      config.accel_quarantined != config.acoustic_quarantined;
-
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const Event& e = events[i];
-    if (config.policy == FusionPolicy::kOr || degraded) {
-      // Every event stands alone; the dedup merge unions modalities of
-      // nearby events.
-      emit(e.time, e.accel, !e.accel);
-      continue;
-    }
-    // AND: only emit when a partner of the other modality exists.
-    for (std::size_t j = 0; j < events.size(); ++j) {
-      if (events[j].accel == e.accel) continue;
-      if (std::abs(events[j].time - e.time) <=
-          config.association_window_s) {
-        emit(std::min(e.time, events[j].time), true, true);
-        break;
-      }
-    }
-  }
-  return fused;
-}
-
 MultiModalFuser::MultiModalFuser(const MultiModalConfig& config)
     : config_(config) {
-  util::require(config_.base.association_window_s > 0.0,
-                "MultiModalFuser: association window must be positive");
-  util::require(config_.base.dedup_window_s >= 0.0,
-                "MultiModalFuser: dedup window must be non-negative");
-  util::require(config_.accel_weight >= 0.0 && config_.acoustic_weight >= 0.0,
-                "MultiModalFuser: weights must be non-negative");
-  util::require(config_.min_confidence >= 0.0 && config_.min_confidence <= 1.0,
-                "MultiModalFuser: min confidence must be in [0, 1]");
-  util::require(config_.stale_timeout_s >= 0.0,
-                "MultiModalFuser: stale timeout must be non-negative");
-  accel_.enabled = config_.use_accel;
-  acoustic_.enabled = config_.use_acoustic;
-  // Quarantine flags of the batch config map onto the ladder directly.
-  if (config_.base.accel_quarantined) {
-    accel_.state = ModalityState::kQuarantined;
-  }
-  if (config_.base.acoustic_quarantined) {
-    acoustic_.state = ModalityState::kQuarantined;
-  }
+  reset(0.0);
 }
 
 MultiModalFuser::Lane& MultiModalFuser::lane(Modality m) {
   return m == Modality::kAccel ? accel_ : acoustic_;
 }
 
-const MultiModalFuser::Lane& MultiModalFuser::lane(Modality m) const {
-  return m == Modality::kAccel ? accel_ : acoustic_;
-}
-
-bool MultiModalFuser::down(const Lane& l, double t) const {
-  if (!l.enabled) return true;
-  if (l.state == ModalityState::kQuarantined) return true;
-  if (l.state == ModalityState::kStale) return true;
-  if (config_.stale_timeout_s > 0.0 &&
-      t - l.last_seen > config_.stale_timeout_s) {
-    return true;
-  }
-  return false;
+bool MultiModalFuser::down(const Lane& l, double t) {
+  return !l.enabled || l.quarantined || t - l.last_seen > kStaleTimeoutS;
 }
 
 bool MultiModalFuser::degraded(double t) const {
   return down(accel_, t) != down(acoustic_, t);
 }
 
-void MultiModalFuser::set_state(Modality modality, ModalityState state) {
-  lane(modality).state = state;
+void MultiModalFuser::quarantine(Modality modality) {
+  Lane& l = lane(modality);
+  l.quarantined = true;
   // Revoked evidence must not pair with future events of the survivor.
-  if (state == ModalityState::kQuarantined) lane(modality).pending.clear();
-}
-
-ModalityState MultiModalFuser::state(Modality modality) const {
-  return lane(modality).state;
+  l.pending.clear();
 }
 
 void MultiModalFuser::reset(double start_time_s) {
   for (Lane* l : {&accel_, &acoustic_}) {
     l->pending.clear();
-    l->state = ModalityState::kLive;
+    l->quarantined = false;
     l->last_seen = start_time_s;
   }
   accel_.enabled = config_.use_accel;
   acoustic_.enabled = config_.use_acoustic;
-  if (config_.base.accel_quarantined) {
-    accel_.state = ModalityState::kQuarantined;
-  }
-  if (config_.base.acoustic_quarantined) {
-    acoustic_.state = ModalityState::kQuarantined;
-  }
   last_emit_s_ = 0.0;
   emitted_any_ = false;
 }
 
 void MultiModalFuser::emit(std::vector<FusedTrackDecision>& out,
                            FusedTrackDecision d) {
-  // Streaming analogue of fuse_detections' dedup merge: an emission
-  // inside the (closed) dedup window of the previous one is suppressed —
-  // an already-returned decision cannot absorb it after the fact.
-  if (emitted_any_ && d.time_s - last_emit_s_ <= config_.base.dedup_window_s) {
-    return;
-  }
+  // An emission inside the (closed) dedup window of the previous one is
+  // suppressed — an already-returned decision cannot absorb it after the
+  // fact.
+  if (emitted_any_ && d.time_s - last_emit_s_ <= kDedupWindowS) return;
   last_emit_s_ = d.time_s;
   emitted_any_ = true;
   out.push_back(d);
@@ -173,21 +57,21 @@ void MultiModalFuser::emit(std::vector<FusedTrackDecision>& out,
 
 std::vector<FusedTrackDecision> MultiModalFuser::ingest(
     Modality modality, double t, double confidence, std::uint64_t trace_id) {
+  SID_PROFILE_STAGE(obs::Stage::kFusion);
   std::vector<FusedTrackDecision> out;
   SID_DCHECK(std::isfinite(t), "MultiModalFuser: non-finite event time");
   const double conf = std::clamp(confidence, 0.0, 1.0);
   Lane& self = lane(modality);
-  if (!self.enabled || self.state == ModalityState::kQuarantined) return out;
-  // Admitted evidence revives an (automatically or externally) stale
-  // modality: it is demonstrably producing again.
-  if (self.state == ModalityState::kStale) self.state = ModalityState::kLive;
+  if (!self.enabled || self.quarantined) return out;
+  // Admitted evidence revives a stale modality: it is demonstrably
+  // producing again.
   self.last_seen = t;
 
   Lane& other = lane(modality == Modality::kAccel ? Modality::kAcoustic
                                                   : Modality::kAccel);
   // Prune partners that can no longer associate with any future event
   // (strictly older than the closed association window).
-  const double cutoff = t - config_.base.association_window_s;
+  const double cutoff = t - kAssociationWindowS;
   std::erase_if(other.pending, [&](const Pending& p) {
     return p.time < cutoff;
   });
@@ -195,20 +79,17 @@ std::vector<FusedTrackDecision> MultiModalFuser::ingest(
     return p.time < cutoff;
   });
 
-  const double self_weight = modality == Modality::kAccel
-                                 ? config_.accel_weight
-                                 : config_.acoustic_weight;
-  const double other_weight = modality == Modality::kAccel
-                                  ? config_.acoustic_weight
-                                  : config_.accel_weight;
+  const double self_weight =
+      modality == Modality::kAccel ? kAccelWeight : kAcousticWeight;
+  const double other_weight =
+      modality == Modality::kAccel ? kAcousticWeight : kAccelWeight;
 
-  const bool other_down = down(other, t);
   const bool standalone =
-      config_.base.policy == FusionPolicy::kOr || other_down;
+      config_.policy == FusionPolicy::kOr || down(other, t);
   if (standalone) {
     // OR, or kAnd degraded to the surviving modality.
     const double weighted = std::clamp(self_weight * conf, 0.0, 1.0);
-    if (weighted >= config_.min_confidence) {
+    if (weighted >= kMinFusedConfidence) {
       FusedTrackDecision d;
       d.time_s = t;
       d.has_accel = modality == Modality::kAccel;
@@ -229,14 +110,14 @@ std::vector<FusedTrackDecision> MultiModalFuser::ingest(
   // the closed association window.
   const Pending* best = nullptr;
   for (const Pending& p : other.pending) {
-    if (std::abs(p.time - t) <= config_.base.association_window_s) {
+    if (std::abs(p.time - t) <= kAssociationWindowS) {
       if (!best || p.time > best->time) best = &p;
     }
   }
   if (best != nullptr) {
     const double weighted = std::clamp(
         self_weight * conf + other_weight * best->confidence, 0.0, 1.0);
-    if (weighted >= config_.min_confidence) {
+    if (weighted >= kMinFusedConfidence) {
       FusedTrackDecision d;
       d.time_s = t;  // fusion completes now; emissions stay monotone
       d.has_accel = true;

@@ -1,17 +1,13 @@
-// Accelerometer + acoustic fusion (§VII future work): associate node
-// alarms with hydrophone contacts in time and fuse them under an AND /
-// OR policy. AND suppresses the single-modality false alarms (wake-less
-// clutter, waveless engine noise never co-occur randomly); OR extends
-// coverage to ranges where only one modality still fires.
+// Sink-side accelerometer + acoustic fusion (§VII future work): the
+// MultiModalFuser associates admitted cluster decisions with admitted
+// hydrophone contacts in time and fuses them under an AND / OR policy.
+// AND suppresses the single-modality false alarms (wake-less clutter,
+// waveless engine noise never co-occur randomly); OR extends coverage to
+// ranges where only one modality still fires.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
-
-#include "acoustic/hydrophone.h"
-#include "core/node_detector.h"
 
 namespace sid::core {
 
@@ -20,40 +16,30 @@ enum class FusionPolicy {
   kAnd,  ///< both modalities must fire within the association window
 };
 
-struct FusionConfig {
-  FusionPolicy policy = FusionPolicy::kAnd;
-  /// Events closer than this in time are considered the same physical
-  /// cause. The wake arrives minutes after the engine noise at long
-  /// range, so the window is generous. The interval is CLOSED on both
-  /// ends: two events associate iff |t_a - t_b| <= association_window_s
-  /// (an event exactly at the window edge still pairs — test-enforced).
-  double association_window_s = 30.0;
-  /// Events closer than this to an emitted fused detection are folded
-  /// into it instead of raising a new one. Also a CLOSED interval: an
-  /// event with t - t_last_emit <= dedup_window_s merges; strictly
-  /// beyond the window it opens a new fused detection (test-enforced).
-  double dedup_window_s = 20.0;
-  /// Defense hooks (wsn/defense): a quarantined modality's events are
-  /// excluded from fusion — its source identity was revoked, so its
-  /// evidence is untrusted. Under kAnd the surviving modality degrades
-  /// gracefully to standing alone (pooled fallback) instead of silencing
-  /// the fuser entirely; with both modalities quarantined nothing fuses.
-  bool accel_quarantined = false;
-  bool acoustic_quarantined = false;
-};
-
-struct FusedDetection {
-  double time_s = 0.0;
-  bool has_accel = false;
-  bool has_acoustic = false;
-};
-
-/// Fuses one node's alarms with one hydrophone's contacts.
-/// Clutter flags on contacts are ignored (the fuser cannot know).
-std::vector<FusedDetection> fuse_detections(
-    std::span<const Alarm> alarms,
-    std::span<const acoustic::AcousticContact> contacts,
-    const FusionConfig& config = {});
+/// Events closer than this in time are considered the same physical
+/// cause. The wake arrives minutes after the engine noise at long range,
+/// so the window is generous. The interval is CLOSED on both ends: two
+/// events associate iff |t_a - t_b| <= kAssociationWindowS (an event
+/// exactly at the window edge still pairs — test-enforced).
+inline constexpr double kAssociationWindowS = 30.0;
+/// An emission within this long of the previous one is suppressed. Also
+/// a CLOSED interval: t - t_last_emit <= kDedupWindowS is suppressed;
+/// strictly beyond it a new fused decision fires (test-enforced).
+inline constexpr double kDedupWindowS = 20.0;
+/// Per-modality weights of the confidence vote. An event's weighted
+/// confidence is weight * confidence (clamped to [0, 1] after summing
+/// across contributing modalities).
+inline constexpr double kAccelWeight = 0.6;
+inline constexpr double kAcousticWeight = 0.5;
+/// A fused decision is emitted only when its weighted confidence reaches
+/// this floor. Low on purpose: a degraded single modality (weight *
+/// confidence) must still clear it, or degradation would silence the
+/// survivor instead of keeping it alive.
+inline constexpr double kMinFusedConfidence = 0.2;
+/// A modality with no admitted evidence for longer than this is stale
+/// (faulted or partitioned away — the fuser cannot tell which) and counts
+/// as down for the degradation ladder until its next admitted event.
+inline constexpr double kStaleTimeoutS = 120.0;
 
 /// The two evidence streams the sink-side fuser consumes.
 enum class Modality {
@@ -61,38 +47,12 @@ enum class Modality {
   kAcoustic,  ///< hydrophone contact reports (multi-modal path)
 };
 
-/// Health of one modality as seen from the sink. Drives the degradation
-/// ladder: kAnd with both modalities kLive demands cross-modal agreement;
-/// with exactly one modality down (kStale or kQuarantined) the fuser
-/// degrades to OR over the survivor; with both down it emits nothing.
-enum class ModalityState {
-  kLive,
-  kStale,        ///< no admitted evidence for stale_timeout_s (faulted or
-                 ///  partitioned away — the fuser cannot tell which)
-  kQuarantined,  ///< every source of the modality revoked by the defense
-};
-
-/// Sink-side multi-modal fusion configuration. The windows and their
-/// closed-interval semantics come from FusionConfig (`base`); the weights
-/// turn the boolean AND/OR of fuse_detections into a confidence-weighted
-/// vote over per-event confidences.
+/// Sink-side multi-modal fusion settings. Everything else is one of the
+/// named constants above.
 struct MultiModalConfig {
-  FusionConfig base;
-  /// Per-modality weights of the confidence vote. An event's weighted
-  /// confidence is weight * confidence (clamped to [0, 1] after summing
-  /// across contributing modalities).
-  double accel_weight = 0.6;
-  double acoustic_weight = 0.5;
-  /// A fused decision is emitted only when its (weighted, summed)
-  /// confidence reaches this floor. Low by default: a degraded single
-  /// modality (weight * confidence) must still clear it, or degradation
-  /// would silence the survivor instead of keeping it alive.
-  double min_confidence = 0.2;
-  /// A modality with no admitted evidence for this long is considered
-  /// kStale for the degradation ladder (0 disables the timeout).
-  double stale_timeout_s = 120.0;
+  FusionPolicy policy = FusionPolicy::kAnd;
   /// Modalities that exist in this deployment at all. A disabled modality
-  /// is permanently "down" for the ladder: kAnd with use_acoustic=false
+  /// is permanently down for the ladder: kAnd with use_acoustic=false
   /// behaves exactly like the degraded single-modality path.
   bool use_accel = true;
   bool use_acoustic = true;
@@ -111,27 +71,27 @@ struct FusedTrackDecision {
   std::uint64_t acoustic_trace_id = 0;
 };
 
-/// Streaming per-track generalization of fuse_detections for the sink:
-/// evidence arrives event-by-event (accel = admitted ClusterDecisions,
-/// acoustic = admitted AcousticContactReports) in delivery order, and the
-/// fuser emits FusedTrackDecisions incrementally.
+/// Streaming sink-side fuser: evidence arrives event-by-event (accel =
+/// admitted ClusterDecisions, acoustic = admitted AcousticContactReports)
+/// in delivery order, and the fuser emits FusedTrackDecisions
+/// incrementally.
 ///
-/// Semantics (deterministic, no randomness, no scheduled events):
-///   - ingest() prunes pending evidence older than the association
-///     window, then tries to emit under the *effective* policy:
-///       kAnd, both modalities live  -> needs a partner of the other
-///           modality with |dt| <= association_window_s (closed);
-///           confidence = accel_w * c_accel + acoustic_w * c_acoustic.
-///       degraded (exactly one live) -> survivor stands alone;
-///           confidence = weight * c.
-///       both down                   -> silence.
-///   - an emission within dedup_window_s (closed) of the previous one is
-///     suppressed (the streaming analogue of fuse_detections' merge: a
-///     returned decision cannot be mutated after the fact).
-///   - fused decisions are stamped at the ingest time that completed
-///     them, so emissions are monotone in sink time.
-/// Like the GuardLedger, the fuser is pure bookkeeping: feeding it zero
-/// acoustic evidence leaves the accel-only pipeline bit-identical.
+/// A modality is *down* when it is disabled, quarantined, or stale. The
+/// degradation ladder keeps the sink alive as modalities die:
+///   kAnd, both modalities live  -> needs a partner of the other modality
+///       within kAssociationWindowS (closed);
+///       confidence = accel_w * c_accel + acoustic_w * c_acoustic.
+///   exactly one down (or kOr)   -> the event stands alone;
+///       confidence = weight * c.
+///   both down                   -> silence.
+/// An emission within kDedupWindowS (closed) of the previous one is
+/// suppressed: a returned decision cannot be mutated after the fact.
+/// Fused decisions are stamped at the ingest time that completed them, so
+/// emissions are monotone in sink time.
+///
+/// Deterministic, no randomness, no scheduled events. Like the
+/// GuardLedger, the fuser is pure bookkeeping: feeding it zero acoustic
+/// evidence leaves the accel-only pipeline bit-identical.
 class MultiModalFuser {
  public:
   explicit MultiModalFuser(const MultiModalConfig& config = {});
@@ -140,27 +100,24 @@ class MultiModalFuser {
   /// completed (empty most of the time). `confidence` is the modality's
   /// own quality score in [0, 1] (accel: decision correlation; acoustic:
   /// normalized SNR). Evidence for a quarantined/disabled modality is
-  /// discarded.
+  /// discarded; admitted evidence revives a stale one.
   std::vector<FusedTrackDecision> ingest(Modality modality, double t,
                                          double confidence,
                                          std::uint64_t trace_id = 0);
 
-  /// Externally-driven health transitions (quarantine listener). kStale
-  /// is also entered automatically via stale_timeout_s; an ingest for a
-  /// kStale modality revives it to kLive.
-  void set_state(Modality modality, ModalityState state);
-  ModalityState state(Modality modality) const;
+  /// Quarantine listener input: every source of `modality` was revoked.
+  /// Its pending evidence is dropped and its future evidence discarded
+  /// until reset().
+  void quarantine(Modality modality);
 
   /// Effective degradation rung at time `t`: true when kAnd has degraded
   /// to single-modality OR (exactly one modality down).
   bool degraded(double t) const;
 
-  /// Clears evidence and emission state for a new run starting at
-  /// `start_time_s` (staleness is measured from here until the first
-  /// admitted event).
+  /// Clears evidence, quarantine and emission state for a new run
+  /// starting at `start_time_s` (staleness is measured from here until
+  /// the first admitted event).
   void reset(double start_time_s);
-
-  const MultiModalConfig& config() const { return config_; }
 
  private:
   struct Pending {
@@ -169,16 +126,15 @@ class MultiModalFuser {
     std::uint64_t trace_id = 0;
   };
   struct Lane {
-    ModalityState state = ModalityState::kLive;
     std::vector<Pending> pending;
     double last_seen = 0.0;  ///< last admitted event (or reset) time
     bool enabled = true;
+    bool quarantined = false;
   };
 
   Lane& lane(Modality m);
-  const Lane& lane(Modality m) const;
   /// Down for the ladder: disabled, quarantined, or stale at time t.
-  bool down(const Lane& lane, double t) const;
+  static bool down(const Lane& lane, double t);
   void emit(std::vector<FusedTrackDecision>& out, FusedTrackDecision d);
 
   MultiModalConfig config_;

@@ -195,7 +195,7 @@ SidSystem::SidSystem(const SidSystemConfig& config)
         quarantined_hydrophones_.insert(subject);
         if (hydrophone_count_ > 0 &&
             quarantined_hydrophones_.size() == hydrophone_count_) {
-          fuser_.set_state(Modality::kAcoustic, ModalityState::kQuarantined);
+          fuser_.quarantine(Modality::kAcoustic);
         }
       }
     });

@@ -45,7 +45,8 @@ struct NeighborConfig {
   /// EWMA weight of the newest beacon-slot observation.
   double ewma_alpha = 0.25;
   /// Links with estimated quality below this never enter the forwarding
-  /// set (the learned analogue of the oracle's min_link_prr threshold).
+  /// set (the learned analogue of the oracle's ground-truth PRR
+  /// threshold, network.cpp kOracleMinLinkPrr).
   double min_quality = 0.25;
   /// Liveness rule: suspect a neighbor when at least `suspect_missed_k`
   /// of the last `liveness_window_n` expected beacon slots were silent.

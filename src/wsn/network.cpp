@@ -32,6 +32,16 @@ constexpr std::uint64_t kBeaconStream = 0x626561636fULL;
 // from it, so they stay bit-identical to seed.
 constexpr std::uint64_t kAttackStream = 0x6174746bULL;
 
+// Oracle mode only: links enter the routing/flooding topology when their
+// ground-truth PRR is at least this, because real WSN routing avoids the
+// long, nearly-dead links at the edge of radio range. In self-healing
+// mode adjacency admits *every* physically-reachable link (distance <=
+// RadioConfig::max_range_m, boundary inclusive) and the learned tables'
+// NeighborConfig::min_quality is the in-band analogue that gates link
+// *use* (DESIGN.md §5f; pinned by
+// NetworkTest.BoundaryLinkAdmissionMatchesRoutingMode).
+constexpr double kOracleMinLinkPrr = 0.7;
+
 // Every stochastic component's stream is offset by the master seed's
 // deviation from the default: changing NetworkConfig::seed re-randomizes
 // radio, clocks, and faults together (one seed determines the run), while
@@ -254,7 +264,7 @@ void Network::build_adjacency() {
       if (j == i) continue;
       const double d = util::distance(nodes_[i].anchor, nodes_[j].anchor);
       if (!radio_.in_range(d)) continue;
-      if (oracle && radio_.prr(d) < config_.min_link_prr) continue;
+      if (oracle && radio_.prr(d) < kOracleMinLinkPrr) continue;
       adjacency_[i].push_back(nodes_[j].id);
     }
   }
@@ -760,13 +770,11 @@ UnicastOutcome Network::unicast_from(NodeId origin, Message msg,
   //   - dead origin (its own state: dead code does not send; for
   //     adversarial injections the origin is the compromised radio, not
   //     the claimed msg.src);
-  //   - oracle mode only: a dead destination is known unroutable up
-  //     front. Self-healing mode has no such knowledge — the learned
-  //     path below decides, and a stale belief plays out as in-flight
-  //     hop failures.
-  if (msg.dst >= nodes_.size() || !can_execute(origin, t) ||
-      (config_.routing == RoutingMode::kOracle &&
-       !node_operational(msg.dst, t))) {
+  //   - no path (below). The oracle knows a dead destination is
+  //     unroutable; self-healing mode has no such knowledge — the learned
+  //     path decides, and a stale belief plays out as in-flight hop
+  //     failures.
+  if (msg.dst >= nodes_.size() || !can_execute(origin, t)) {
     counters_.unicasts_unroutable.add();
     SID_TRACE(&tracer_, obs::Category::kNet, "msg_drop", t,
               {{"src", msg.src},

@@ -63,8 +63,9 @@ inline constexpr std::uint64_t kDefaultNetworkSeed = 51;
 enum class RoutingMode {
   /// Legacy omniscient baseline: links enter the topology by thresholding
   /// the radio model's ground-truth PRR, and routes consult the global
-  /// liveness oracle. Kept as the reference point the self-healing mode
-  /// is benchmarked against (bench/robustness_sweep).
+  /// liveness oracle. Kept only as the ground-truth reference comparator:
+  /// bench/robustness_sweep gates self-healing against it, and the
+  /// exact-accounting tests pin per-hop drops with it (DESIGN.md §5f).
   kOracle,
   /// Distributed mode: adjacency is physical radio range only; routing
   /// and flooding consult per-node neighbor tables learned from hello
@@ -80,15 +81,6 @@ struct NetworkConfig {
   RadioConfig radio;
   ClockConfig clock;
   EnergyConfig energy;
-  /// Oracle mode only: links enter the routing/flooding topology when
-  /// their ground-truth PRR is at least this, because real WSN routing
-  /// avoids the long, nearly-dead links at the edge of radio range. In
-  /// self-healing mode adjacency admits *every* physically-reachable
-  /// link (distance <= RadioConfig::max_range_m, boundary inclusive) and
-  /// the learned tables' NeighborConfig::min_quality is the in-band
-  /// analogue that gates link *use* (DESIGN.md §5f; pinned by
-  /// NetworkTest.BoundaryLinkAdmissionMatchesRoutingMode).
-  double min_link_prr = 0.7;
   /// Link-layer retransmissions per hop (0 = none).
   std::size_t max_retransmissions = 2;
   /// Master seed. Every stochastic sub-component (radio, per-node
@@ -384,7 +376,8 @@ class Network {
   /// Routing dispatch: oracle BFS or the learned-table ETX search.
   std::optional<std::vector<NodeId>> shortest_path(NodeId from, NodeId to,
                                                    double t);
-  /// Legacy oracle BFS over the live topology at time `t`.
+  /// Legacy oracle BFS over the live topology at time `t`; nullopt when
+  /// either endpoint is dead.
   std::optional<std::vector<NodeId>> oracle_path(NodeId from, NodeId to,
                                                  double t) const;
   /// Least-ETX route over the sender-side neighbor tables: each relay

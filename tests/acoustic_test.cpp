@@ -1,5 +1,5 @@
-// Tests for the acoustic substrate (paper §VII future work) and the
-// accel+acoustic fusion layer.
+// Tests for the acoustic substrate (paper §VII future work). The sink's
+// accel+acoustic fuser is covered in fusion_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 
 #include "acoustic/hydrophone.h"
 #include "acoustic/propagation.h"
-#include "core/fusion.h"
 #include "util/error.h"
 #include "util/units.h"
 
@@ -161,94 +160,3 @@ TEST(HydrophoneTest, RejectsBadConfig) {
 
 }  // namespace
 }  // namespace sid::acoustic
-
-namespace sid::core {
-namespace {
-
-Alarm alarm_at(double t) {
-  Alarm a;
-  a.onset_time_s = t;
-  a.trigger_time_s = t + 1.0;
-  return a;
-}
-
-acoustic::AcousticContact contact_at(double t, bool clutter = false) {
-  return acoustic::AcousticContact{t, 10.0, clutter};
-}
-
-TEST(FusionTest, AndRequiresBothModalities) {
-  FusionConfig cfg;
-  cfg.policy = FusionPolicy::kAnd;
-  const std::vector<Alarm> alarms{alarm_at(100.0)};
-  const std::vector<acoustic::AcousticContact> lone_contacts{
-      contact_at(400.0)};
-  EXPECT_TRUE(fuse_detections(alarms, {}, cfg).empty());
-  EXPECT_TRUE(fuse_detections({}, lone_contacts, cfg).empty());
-
-  const std::vector<acoustic::AcousticContact> near_contacts{
-      contact_at(110.0)};
-  const auto fused = fuse_detections(alarms, near_contacts, cfg);
-  ASSERT_EQ(fused.size(), 1u);
-  EXPECT_TRUE(fused[0].has_accel);
-  EXPECT_TRUE(fused[0].has_acoustic);
-  EXPECT_NEAR(fused[0].time_s, 100.0, 1e-12);
-}
-
-TEST(FusionTest, AndRespectsAssociationWindow) {
-  FusionConfig cfg;
-  cfg.policy = FusionPolicy::kAnd;
-  cfg.association_window_s = 5.0;
-  const std::vector<Alarm> alarms{alarm_at(100.0)};
-  const std::vector<acoustic::AcousticContact> contacts{contact_at(110.0)};
-  EXPECT_TRUE(fuse_detections(alarms, contacts, cfg).empty());
-}
-
-TEST(FusionTest, OrAcceptsEitherModality) {
-  FusionConfig cfg;
-  cfg.policy = FusionPolicy::kOr;
-  const std::vector<Alarm> alarms{alarm_at(100.0)};
-  const std::vector<acoustic::AcousticContact> contacts{contact_at(400.0)};
-  const auto fused = fuse_detections(alarms, contacts, cfg);
-  ASSERT_EQ(fused.size(), 2u);
-  EXPECT_TRUE(fused[0].has_accel);
-  EXPECT_FALSE(fused[0].has_acoustic);
-  EXPECT_FALSE(fused[1].has_accel);
-  EXPECT_TRUE(fused[1].has_acoustic);
-}
-
-TEST(FusionTest, DedupMergesNearbyEvents) {
-  FusionConfig cfg;
-  cfg.policy = FusionPolicy::kOr;
-  cfg.dedup_window_s = 20.0;
-  const std::vector<Alarm> alarms{alarm_at(100.0), alarm_at(105.0)};
-  const std::vector<acoustic::AcousticContact> contacts{contact_at(110.0)};
-  const auto fused = fuse_detections(alarms, contacts, cfg);
-  ASSERT_EQ(fused.size(), 1u);
-  EXPECT_TRUE(fused[0].has_accel);
-  EXPECT_TRUE(fused[0].has_acoustic);
-}
-
-TEST(FusionTest, AndEmitsOncePerCause) {
-  FusionConfig cfg;
-  cfg.policy = FusionPolicy::kAnd;
-  // A cluster of alarms + contacts around one pass: one fused event.
-  const std::vector<Alarm> alarms{alarm_at(100.0), alarm_at(104.0)};
-  const std::vector<acoustic::AcousticContact> contacts{
-      contact_at(98.0), contact_at(102.0), contact_at(112.0)};
-  const auto fused = fuse_detections(alarms, contacts, cfg);
-  ASSERT_EQ(fused.size(), 1u);
-}
-
-TEST(FusionTest, EmptyInputsGiveNothing) {
-  EXPECT_TRUE(fuse_detections({}, {}, {}).empty());
-}
-
-TEST(FusionTest, BadConfigThrows) {
-  FusionConfig cfg;
-  cfg.association_window_s = 0.0;
-  const std::vector<Alarm> alarms{alarm_at(1.0)};
-  EXPECT_THROW(fuse_detections(alarms, {}, cfg), util::InvalidArgument);
-}
-
-}  // namespace
-}  // namespace sid::core

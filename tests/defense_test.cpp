@@ -1,18 +1,15 @@
 // Tests for the adversary-resilience layer: GuardLedger plausibility
 // filters (tier 1), rate-based quarantine with hysteresis and probation
 // release (tier 2), watermark-commit purity (rejected messages must not
-// poison the ledger's view), fusion's graceful degradation under
-// quarantined modalities, and Network-level attack/defense integration
-// (forgery filtering, clone quarantine, beacon-spoof range checks,
-// replay capture).
+// poison the ledger's view), and Network-level attack/defense
+// integration (forgery filtering, clone quarantine, beacon-spoof range
+// checks, replay capture). The fuser's degradation under a quarantined
+// modality is covered in fusion_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "acoustic/hydrophone.h"
-#include "core/fusion.h"
-#include "core/node_detector.h"
 #include "util/geometry.h"
 #include "wsn/defense.h"
 #include "wsn/faults.h"
@@ -225,56 +222,6 @@ TEST_F(GuardLedgerTest, SuspicionDecaysSoSpacedViolationsNeverQuarantine) {
             IngressVerdict::kRate);
   EXPECT_LT(ledger.score(2, 103.0), config.quarantine_threshold);
   EXPECT_FALSE(ledger.quarantined(2, 103.0));
-}
-
-// ------------------------------------------- fusion under quarantine
-
-core::Alarm alarm_at(double t) {
-  core::Alarm a;
-  a.onset_time_s = t;
-  return a;
-}
-
-acoustic::AcousticContact contact_at(double t) {
-  acoustic::AcousticContact c;
-  c.time_s = t;
-  return c;
-}
-
-TEST(FusionQuarantineTest, QuarantinedModalityDegradesAndToOr) {
-  // Under kAnd, accel alarms alone fuse nothing...
-  const std::vector<core::Alarm> alarms = {alarm_at(10.0)};
-  const std::vector<acoustic::AcousticContact> no_contacts;
-  core::FusionConfig config;
-  config.policy = core::FusionPolicy::kAnd;
-  EXPECT_TRUE(core::fuse_detections(alarms, no_contacts, config).empty());
-
-  // ...but with the acoustic identity quarantined, the survivor stands
-  // alone (graceful degradation) instead of silencing the fuser.
-  config.acoustic_quarantined = true;
-  const auto fused = core::fuse_detections(alarms, no_contacts, config);
-  ASSERT_EQ(fused.size(), 1u);
-  EXPECT_TRUE(fused[0].has_accel);
-  EXPECT_FALSE(fused[0].has_acoustic);
-}
-
-TEST(FusionQuarantineTest, QuarantinedModalityContributesNoEvidence) {
-  const std::vector<core::Alarm> alarms = {alarm_at(10.0)};
-  const std::vector<acoustic::AcousticContact> contacts = {contact_at(12.0)};
-  core::FusionConfig config;
-  config.policy = core::FusionPolicy::kAnd;
-  // Untainted: the pair fuses.
-  EXPECT_EQ(core::fuse_detections(alarms, contacts, config).size(), 1u);
-  // Accel quarantined: only the acoustic contact survives, as acoustic-
-  // only evidence.
-  config.accel_quarantined = true;
-  const auto fused = core::fuse_detections(alarms, contacts, config);
-  ASSERT_EQ(fused.size(), 1u);
-  EXPECT_FALSE(fused[0].has_accel);
-  EXPECT_TRUE(fused[0].has_acoustic);
-  // Both quarantined: nothing fuses at all.
-  config.acoustic_quarantined = true;
-  EXPECT_TRUE(core::fuse_detections(alarms, contacts, config).empty());
 }
 
 // --------------------------------------- network-level attack/defense

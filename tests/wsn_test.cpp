@@ -469,8 +469,8 @@ TEST(NetworkTest, ZeroHopDelayFloorThrows) {
 
 // ------------------------------------------------ adjacency admission
 //
-// DESIGN.md §5f: oracle mode thresholds ground-truth PRR at
-// min_link_prr; self-healing admits every physically-reachable link
+// DESIGN.md §5f: oracle mode thresholds ground-truth PRR at 0.7;
+// self-healing admits every physically-reachable link
 // (boundary inclusive) and gates *use* through the learned tables. A
 // link at exactly max_range_m is the discriminating case: PRR there is
 // far below the oracle threshold but the link is still physical.
@@ -489,7 +489,7 @@ TEST(NetworkTest, BoundaryLinkAdmissionMatchesRoutingMode) {
 
   cfg.routing = RoutingMode::kOracle;
   {
-    // Default radio: prr(70 m) is ~0, far under min_link_prr.
+    // Default radio: prr(70 m) is ~0, far under the oracle's 0.7.
     Network net(cfg);
     EXPECT_TRUE(net.neighbors(0).empty());
   }
