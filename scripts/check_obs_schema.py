@@ -18,7 +18,7 @@ Usage:
         [--require-counter net.e2e_retries]
         [--require-histogram sid.recovery_time_s]
         [--telemetry telemetry.jsonl] [--require-series sid.alarms_raised]
-        [--flightrec flightrec.jsonl]
+        [--flightrec flightrec.jsonl [--flightrec-matches-trace]]
 
 Exit status: 0 valid, 1 schema violation.
 """
@@ -286,6 +286,28 @@ def check_flightrec(path: Path):
           f"{n_spans} span records, reason={header['reason']!r})")
 
 
+def check_flightrec_matches_trace(flightrec: Path, trace: Path):
+    """The recorder dumps in the exact Tracer line format, so when it
+    recorded exactly the traced events (every category on), its retained
+    events are the trace's last lines, byte for byte."""
+    rec_lines = flightrec.read_text(encoding="utf-8").splitlines()
+    trace_lines = trace.read_text(encoding="utf-8").splitlines()
+    recorded = json.loads(rec_lines[0])["recorded"]
+    events = rec_lines[1:]
+    if recorded != len(trace_lines):
+        fail(str(flightrec),
+             f"recorded {recorded} events but {trace} holds "
+             f"{len(trace_lines)}; the comparison needs a trace of every "
+             f"category")
+    first = len(trace_lines) - len(events)
+    for i, (got, want) in enumerate(zip(events, trace_lines[first:])):
+        if got != want:
+            fail(f"{flightrec}:{i + 2}",
+                 f"differs from {trace}:{first + i + 1}")
+    print(f"{flightrec}: OK (its {len(events)} events equal the last "
+          f"{len(events)} lines of {trace})")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("metrics", type=Path,
@@ -308,6 +330,11 @@ def main() -> int:
                              "counter/gauge series (repeatable)")
     parser.add_argument("--flightrec", type=Path,
                         help="sid-flightrec-v1 JSONL dump to validate")
+    parser.add_argument("--flightrec-matches-trace", action="store_true",
+                        help="require the --flightrec events to equal the "
+                             "last lines of --trace byte for byte; the dump's "
+                             "recorded total must equal the trace's event "
+                             "count (trace every category)")
     parser.add_argument("--require-counter", action="append", default=[],
                         metavar="NAME",
                         help="require a counter with this exact name, e.g. "
@@ -319,6 +346,8 @@ def main() -> int:
                         help="require a (sim-clock) histogram with this "
                              "name, e.g. sid.recovery_time_s (repeatable)")
     args = parser.parse_args()
+    if args.flightrec_matches_trace and not (args.flightrec and args.trace):
+        parser.error("--flightrec-matches-trace needs --flightrec and --trace")
     try:
         check_metrics(args.metrics, args.require_stage,
                       args.require_counter, args.require_histogram)
@@ -329,6 +358,8 @@ def main() -> int:
             check_telemetry(args.telemetry, args.require_series)
         if args.flightrec:
             check_flightrec(args.flightrec)
+        if args.flightrec_matches_trace:
+            check_flightrec_matches_trace(args.flightrec, args.trace)
     except SchemaError as err:
         print(f"schema violation — {err}", file=sys.stderr)
         return 1

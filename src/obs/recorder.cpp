@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <vector>
 
 #include "util/check.h"
 #include "util/error.h"
@@ -11,22 +12,6 @@
 namespace sid::obs {
 
 namespace {
-
-std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-void write_escaped(std::ostream& os, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else {
-      os << c;
-    }
-  }
-}
 
 void copy_truncated(char* dst, std::size_t dst_chars, std::string_view src) {
   const std::size_t n = src.size() < dst_chars ? src.size() : dst_chars;
@@ -131,47 +116,16 @@ void FlightRecorder::dump(std::ostream& os, std::string_view reason) const {
   write_escaped(os, reason);
   os << "\",\"capacity\":" << capacity_ << ",\"recorded\":" << recorded_
      << ",\"events\":" << ring_.size() << "}\n";
+  std::vector<Field> fields;
+  fields.reserve(kMaxFields);
   for (std::size_t i = 0; i < ring_.size(); ++i) {
     const Event ev = ring_.at(i);
-    os << "{\"t\":" << fmt_double(ev.t) << ",\"cat\":\""
-       << category_name(ev.cat) << "\",\"name\":\"";
-    write_escaped(os, ev.name);
-    os << '"';
-    if (ev.is_span) {
-      char id_hex[17];
-      std::snprintf(id_hex, sizeof(id_hex), "%016llx",
-                    static_cast<unsigned long long>(ev.span_id));
-      os << ",\"span\":{\"id\":\"" << id_hex
-         << "\",\"dur\":" << fmt_double(ev.duration_s) << '}';
-    }
-    os << ",\"args\":{";
+    fields.clear();
     for (std::size_t j = 0; j < ev.n_fields; ++j) {
-      const StoredField& sf = ev.fields[j];
-      if (j != 0) os << ',';
-      os << '"';
-      write_escaped(os, sf.key);
-      os << "\":";
-      switch (sf.type) {
-        case Field::Type::kDouble:
-          os << fmt_double(sf.num);
-          break;
-        case Field::Type::kInt:
-          os << sf.i;
-          break;
-        case Field::Type::kUInt:
-          os << sf.u;
-          break;
-        case Field::Type::kBool:
-          os << (sf.b ? "true" : "false");
-          break;
-        case Field::Type::kString:
-          os << '"';
-          write_escaped(os, sf.s);
-          os << '"';
-          break;
-      }
+      fields.push_back(ev.fields[j].view());
     }
-    os << "}}\n";
+    write_event_line(os, ev.cat, ev.name, ev.t, ev.duration_s,
+                     ev.is_span ? &ev.span_id : nullptr, fields);
   }
 }
 

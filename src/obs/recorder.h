@@ -100,6 +100,17 @@ class FlightRecorder {
     std::uint64_t u = 0;
     bool b = false;
     char s[kStringChars + 1] = {};
+
+    /// A Field reading this copy (valid while the copy lives).
+    Field view() const {
+      Field f(key, b);
+      f.type = type;
+      f.num = num;
+      f.i = i;
+      f.u = u;
+      f.s = s;
+      return f;
+    }
   };
 
   struct Event {

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "obs/recorder.h"
+#include "obs/span.h"
 #include "util/error.h"
 
 namespace sid::obs {
@@ -31,6 +32,8 @@ std::string fmt_double(double v) {
   return buf;
 }
 
+}  // namespace
+
 void write_escaped(std::ostream& os, std::string_view s) {
   for (char c : s) {
     if (c == '"' || c == '\\') {
@@ -41,7 +44,48 @@ void write_escaped(std::ostream& os, std::string_view s) {
   }
 }
 
-}  // namespace
+void write_event_line(std::ostream& os, Category cat, std::string_view name,
+                      double sim_time_s, double duration_s,
+                      const std::uint64_t* span_id,
+                      std::span<const Field> fields) {
+  os << "{\"t\":" << fmt_double(sim_time_s) << ",\"cat\":\""
+     << category_name(cat) << "\",\"name\":\"";
+  write_escaped(os, name);
+  os << '"';
+  if (span_id != nullptr) {
+    os << ",\"span\":{\"id\":\"" << span_id_hex(*span_id)
+       << "\",\"dur\":" << fmt_double(duration_s) << '}';
+  }
+  os << ",\"args\":{";
+  bool first = true;
+  for (const Field& f : fields) {
+    if (!first) os << ',';
+    first = false;
+    os << '"';
+    write_escaped(os, f.key);
+    os << "\":";
+    switch (f.type) {
+      case Field::Type::kDouble:
+        os << fmt_double(f.num);
+        break;
+      case Field::Type::kInt:
+        os << f.i;
+        break;
+      case Field::Type::kUInt:
+        os << f.u;
+        break;
+      case Field::Type::kBool:
+        os << (f.b ? "true" : "false");
+        break;
+      case Field::Type::kString:
+        os << '"';
+        write_escaped(os, f.s);
+        os << '"';
+        break;
+    }
+  }
+  os << "}}\n";
+}
 
 std::string_view category_name(Category cat) {
   for (const auto& entry : kCategories) {
@@ -136,47 +180,7 @@ void Tracer::write_line(Category cat, std::string_view name,
   const util::LockGuard lock(mu_);
   std::ostream* out = out_.load(std::memory_order_relaxed);
   if (out == nullptr) return;  // closed between the check and the lock
-  std::ostream& os = *out;
-  os << "{\"t\":" << fmt_double(sim_time_s) << ",\"cat\":\""
-     << category_name(cat) << "\",\"name\":\"";
-  write_escaped(os, name);
-  os << '"';
-  if (span_id != nullptr) {
-    char id_hex[17];
-    std::snprintf(id_hex, sizeof(id_hex), "%016llx",
-                  static_cast<unsigned long long>(*span_id));
-    os << ",\"span\":{\"id\":\"" << id_hex
-       << "\",\"dur\":" << fmt_double(duration_s) << '}';
-  }
-  os << ",\"args\":{";
-  bool first = true;
-  for (const Field& f : fields) {
-    if (!first) os << ',';
-    first = false;
-    os << '"';
-    write_escaped(os, f.key);
-    os << "\":";
-    switch (f.type) {
-      case Field::Type::kDouble:
-        os << fmt_double(f.num);
-        break;
-      case Field::Type::kInt:
-        os << f.i;
-        break;
-      case Field::Type::kUInt:
-        os << f.u;
-        break;
-      case Field::Type::kBool:
-        os << (f.b ? "true" : "false");
-        break;
-      case Field::Type::kString:
-        os << '"';
-        write_escaped(os, f.s);
-        os << '"';
-        break;
-    }
-  }
-  os << "}}\n";
+  write_event_line(*out, cat, name, sim_time_s, duration_s, span_id, fields);
   ++events_;
 }
 

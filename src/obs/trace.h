@@ -25,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -90,6 +91,18 @@ struct Field {
   bool b = false;
   std::string_view s;
 };
+
+/// Writes one event as a JSONL line (format at the top of this file): the
+/// one writer behind Tracer and FlightRecorder::dump. A null `span_id`
+/// writes a plain event and ignores `duration_s`.
+void write_event_line(std::ostream& os, Category cat, std::string_view name,
+                      double sim_time_s, double duration_s,
+                      const std::uint64_t* span_id,
+                      std::span<const Field> fields);
+
+/// Writes `s` with '"' and '\\' backslash-escaped, as write_event_line
+/// writes every string.
+void write_escaped(std::ostream& os, std::string_view s);
 
 /// JSONL event sink. Default-constructed tracers are disabled; open() or
 /// attach() arms them for the selected categories.

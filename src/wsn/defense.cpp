@@ -27,20 +27,11 @@ std::string_view verdict_name(IngressVerdict verdict) {
 
 GuardLedger::GuardLedger(NodeId guard, const DefenseConfig& config,
                          std::vector<util::Vec2> anchors)
-    : guard_(guard), config_(config), anchors_(std::move(anchors)) {
-  util::require(config_.seq_horizon > 0,
-                "DefenseConfig: seq horizon must be positive");
-  util::require(config_.rate_window_s > 0.0 && config_.rate_limit > 0,
-                "DefenseConfig: rate window and limit must be positive");
-  util::require(config_.quarantine_threshold > 0.0,
-                "DefenseConfig: quarantine threshold must be positive");
-  util::require(config_.score_half_life_s > 0.0,
-                "DefenseConfig: score half-life must be positive");
-  util::require(config_.acoustic_max_snr_db > config_.acoustic_min_snr_db,
+    : guard_(guard),
+      acoustic_max_snr_db_(config.acoustic_max_snr_db),
+      anchors_(std::move(anchors)) {
+  util::require(acoustic_max_snr_db_ > kAcousticMinSnrDb,
                 "DefenseConfig: acoustic SNR ceiling must exceed the floor");
-  util::require(
-      config_.acoustic_rate_window_s > 0.0 && config_.acoustic_rate_limit > 0,
-      "DefenseConfig: acoustic rate window and limit must be positive");
 }
 
 GuardLedger::IdentityState& GuardLedger::state(NodeId id) {
@@ -50,7 +41,7 @@ GuardLedger::IdentityState& GuardLedger::state(NodeId id) {
 double GuardLedger::decayed_score(const IdentityState& s, double t) const {
   if (s.score <= 0.0) return 0.0;
   const double dt = std::max(0.0, t - s.score_t);
-  return s.score * std::exp2(-dt / config_.score_half_life_s);
+  return s.score * std::exp2(-dt / kScoreHalfLifeS);
 }
 
 double GuardLedger::score(NodeId id, double t) const {
@@ -75,7 +66,7 @@ GuardLedger::StreamCheck GuardLedger::check_stream(bool seen,
     // Per-run streams start at zero; a first sighting far from it is a
     // fabricated stream, and anchoring the watermark there would be
     // exactly the poisoning the attacker wants. Reject, don't anchor.
-    if (seq >= config_.seq_horizon) {
+    if (seq >= kSeqHorizon) {
       out.verdict = IngressVerdict::kSeqBootstrap;
       return out;
     }
@@ -86,7 +77,7 @@ GuardLedger::StreamCheck GuardLedger::check_stream(bool seen,
   }
   const std::int32_t d = seq_distance(high, seq);
   if (d > 0) {
-    if (static_cast<std::uint32_t>(d) > config_.seq_horizon) {
+    if (static_cast<std::uint32_t>(d) > kSeqHorizon) {
       out.verdict = IngressVerdict::kSeqJump;  // watermark stays put
       return out;
     }
@@ -94,7 +85,7 @@ GuardLedger::StreamCheck GuardLedger::check_stream(bool seen,
     out.fresh = true;
     return out;
   }
-  if (static_cast<std::uint32_t>(-d) >= config_.seq_rollback_span) {
+  if (static_cast<std::uint32_t>(-d) >= SequenceWindow::kMaxSpan) {
     out.verdict = IngressVerdict::kSeqRollback;
     return out;
   }
@@ -113,11 +104,6 @@ bool GuardLedger::window_violation(std::vector<double>& window, double t,
   return window.size() > limit;
 }
 
-bool GuardLedger::rate_violation(IdentityState& s, double t) {
-  return window_violation(s.fresh_accepts, t, config_.rate_window_s,
-                          config_.rate_limit);
-}
-
 void GuardLedger::add_suspicion(NodeId id, IdentityState& s, double amount,
                                 double t) {
   s.score = decayed_score(s, t) + amount;
@@ -126,10 +112,10 @@ void GuardLedger::add_suspicion(NodeId id, IdentityState& s, double amount,
             {{"guard", guard_},
              {"subject", id},
              {"score", s.score},
-             {"threshold", config_.quarantine_threshold}});
-  if (!s.quarantined && s.score >= config_.quarantine_threshold) {
+             {"threshold", kQuarantineThreshold}});
+  if (!s.quarantined && s.score >= kQuarantineThreshold) {
     s.quarantined = true;
-    s.quarantine_until_s = t + config_.quarantine_s;
+    s.quarantine_until_s = t + kQuarantineS;
     quarantine_started_ = id;
     SID_TRACE(tracer_, obs::Category::kDefense, "quarantine_start", t,
               {{"guard", guard_},
@@ -208,7 +194,7 @@ IngressVerdict GuardLedger::assess_impl(const Message& msg, double t) {
   // (report centroids), not anchors — only sequence/rate checks apply.
   if (report != nullptr && claimed < anchors_.size()) {
     if (util::distance(report->position, anchors_[claimed]) >
-        config_.position_tolerance_m) {
+        kPositionToleranceM) {
       return IngressVerdict::kPosition;
     }
   }
@@ -249,8 +235,9 @@ IngressVerdict GuardLedger::assess_impl(const Message& msg, double t) {
   // here, so spoofed-and-rejected evidence cannot revoke an identity.
   if (transport.fresh || dec_stream.fresh) {
     IdentityState& id_state = state(claimed);
-    if (rate_violation(id_state, t)) {
-      add_suspicion(claimed, id_state, config_.rate_score, t);
+    if (window_violation(id_state.fresh_accepts, t, kRateWindowS,
+                         kRateLimit)) {
+      add_suspicion(claimed, id_state, kRateScore, t);
       return IngressVerdict::kRate;
     }
   }
@@ -277,7 +264,7 @@ IngressVerdict GuardLedger::assess_acoustic_impl(const Message& msg,
   // Hydrophone positions are the deployment anchors too.
   if (claimed < anchors_.size() &&
       util::distance(contact->position, anchors_[claimed]) >
-          config_.position_tolerance_m) {
+          kPositionToleranceM) {
     return IngressVerdict::kPosition;
   }
 
@@ -287,8 +274,8 @@ IngressVerdict GuardLedger::assess_acoustic_impl(const Message& msg,
   // impossibly strong contact — the natural way to force a fused alarm —
   // trips this even when its sequence discipline is perfect.
   if (!std::isfinite(contact->snr_db) ||
-      contact->snr_db > config_.acoustic_max_snr_db ||
-      contact->snr_db < config_.acoustic_min_snr_db) {
+      contact->snr_db > acoustic_max_snr_db_ ||
+      contact->snr_db < kAcousticMinSnrDb) {
     return IngressVerdict::kAcousticImplausible;
   }
 
@@ -315,10 +302,9 @@ IngressVerdict GuardLedger::assess_acoustic_impl(const Message& msg,
   // each individual message passes the filters.
   if (transport.fresh || contact_stream.fresh) {
     IdentityState& id_state = state(claimed);
-    if (window_violation(id_state.acoustic_accepts, t,
-                         config_.acoustic_rate_window_s,
-                         config_.acoustic_rate_limit)) {
-      add_suspicion(claimed, id_state, config_.rate_score, t);
+    if (window_violation(id_state.acoustic_accepts, t, kAcousticRateWindowS,
+                         kAcousticRateLimit)) {
+      add_suspicion(claimed, id_state, kRateScore, t);
       return IngressVerdict::kRate;
     }
   }

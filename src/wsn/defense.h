@@ -54,51 +54,64 @@ struct DefenseConfig {
   /// Nodes whose inbound report/decision traffic is scored and filtered.
   /// Left empty, SidSystem fills in the sink and the static cluster heads.
   std::vector<NodeId> guarded_nodes;
-  /// A stream first seen further than this from zero is implausible:
-  /// per-run sequence counters start at zero, and no honest source sends
-  /// this many messages in a run. Also the bound on forward jumps.
-  std::uint32_t seq_horizon = 4096;
-  /// Rollbacks beyond this many sequence numbers behind the watermark are
-  /// replays (matches the transport dedup span, wsn/seqnum.h).
-  std::size_t seq_rollback_span = 64;
-  /// Max distance between a report's claimed position and the claimed
-  /// reporter's deployment anchor (positions are assigned at deployment).
-  double position_tolerance_m = 1.0;
-  /// Rate plausibility: more than `rate_limit` fresh accepted messages
-  /// from one claimed identity within `rate_window_s` is flooding.
-  double rate_window_s = 60.0;
-  std::size_t rate_limit = 8;
-  /// Suspicion added per rate violation; decays with the half-life below
-  /// (hysteresis: isolated violations fade, sustained flooding crosses
-  /// the threshold).
-  double rate_score = 1.5;
-  double quarantine_threshold = 3.0;
-  double score_half_life_s = 120.0;
-  /// Quarantine duration; after expiry the identity is on probation (the
-  /// next sustained violation re-quarantines it).
-  double quarantine_s = 600.0;
-  /// Beacon range plausibility (impersonation detection from channel
-  /// measurements): a hello whose measured range differs from the claimed
-  /// sender's deployment range by more than `frac` of it plus `slack_m`
-  /// is a spoof.
-  double beacon_range_tolerance_frac = 0.25;
-  double beacon_range_slack_m = 5.0;
   /// Acoustic contact plausibility (multi-modal path). A claimed SNR
   /// above the ceiling is physically impossible: the sonar equation bounds
   /// received SNR by the loudest plausible source at the minimum
   /// propagation range against the quietest ambient floor. SidSystem
   /// derives the ceiling from its HydrophoneConfig; the default covers the
-  /// stock source model with margin. Contacts below the floor carry no
-  /// detection (the hydrophone's own threshold would have suppressed
-  /// them), so an honest node never sends one.
+  /// stock source model with margin. Must exceed kAcousticMinSnrDb.
   double acoustic_max_snr_db = 64.0;
-  double acoustic_min_snr_db = 0.0;
-  /// Acoustic rate plausibility: one hydrophone integrating over seconds
-  /// cannot produce more than `limit` fresh contacts per window — a
-  /// contact flood is the forged-acoustic signature.
-  double acoustic_rate_window_s = 60.0;
-  std::size_t acoustic_rate_limit = 12;
 };
+
+// Guard thresholds (DESIGN.md §5h). Every guard applies the same rule, so
+// none carries its own copy.
+
+/// A stream first seen further than this from zero is implausible:
+/// per-run sequence counters start at zero, and no honest source sends
+/// this many messages in a run. Also the bound on forward jumps.
+/// Rollbacks of SequenceWindow::kMaxSpan or more behind the watermark
+/// (the transport dedup span, wsn/seqnum.h) are replays.
+inline constexpr std::uint32_t kSeqHorizon = 4096;
+/// Max distance between a report's claimed position and the claimed
+/// reporter's deployment anchor (positions are assigned at deployment).
+inline constexpr double kPositionToleranceM = 1.0;
+/// Rate plausibility: more than `kRateLimit` fresh accepted messages
+/// from one claimed identity within `kRateWindowS` is flooding.
+inline constexpr double kRateWindowS = 60.0;
+inline constexpr std::size_t kRateLimit = 8;
+/// Suspicion added per rate violation; decays with the half-life below
+/// (hysteresis: isolated violations fade, sustained flooding crosses
+/// the threshold).
+inline constexpr double kRateScore = 1.5;
+inline constexpr double kQuarantineThreshold = 3.0;
+inline constexpr double kScoreHalfLifeS = 120.0;
+/// Quarantine duration; after expiry the identity is on probation (the
+/// next sustained violation re-quarantines it).
+inline constexpr double kQuarantineS = 600.0;
+/// Beacon range plausibility (impersonation detection from channel
+/// measurements): a hello whose measured range differs from the claimed
+/// sender's deployment range by more than `frac` of it plus `slack` is a
+/// spoof.
+inline constexpr double kBeaconRangeToleranceFrac = 0.25;
+inline constexpr double kBeaconRangeSlackM = 5.0;
+/// Contacts below this SNR carry no detection (the hydrophone's own
+/// threshold would have suppressed them), so an honest node never sends
+/// one.
+inline constexpr double kAcousticMinSnrDb = 0.0;
+/// Acoustic rate plausibility: one hydrophone integrating over seconds
+/// cannot produce more than `kAcousticRateLimit` fresh contacts per
+/// window — a contact flood is the forged-acoustic signature.
+inline constexpr double kAcousticRateWindowS = 60.0;
+inline constexpr std::size_t kAcousticRateLimit = 12;
+
+static_assert(kSeqHorizon > 0, "seq horizon must be positive");
+static_assert(kRateWindowS > 0.0 && kRateLimit > 0,
+              "rate window and limit must be positive");
+static_assert(kQuarantineThreshold > 0.0,
+              "quarantine threshold must be positive");
+static_assert(kScoreHalfLifeS > 0.0, "score half-life must be positive");
+static_assert(kAcousticRateWindowS > 0.0 && kAcousticRateLimit > 0,
+              "acoustic rate window and limit must be positive");
 
 /// Per-message verdict of GuardLedger::assess.
 enum class IngressVerdict {
@@ -131,9 +144,9 @@ constexpr bool verdict_filters(IngressVerdict v) {
 /// defense funnel: scripts/lint.py bans mutation from outside src/wsn/).
 class GuardLedger {
  public:
-  GuardLedger() = default;
   /// `anchors` is the deployment position of every node id — knowledge a
-  /// guard legitimately holds (§III-A), not oracle state.
+  /// guard legitimately holds (§III-A), not oracle state. Of `config` the
+  /// ledger keeps only the acoustic SNR ceiling.
   GuardLedger(NodeId guard, const DefenseConfig& config,
               std::vector<util::Vec2> anchors);
 
@@ -216,16 +229,15 @@ class GuardLedger {
   };
   StreamCheck check_stream(bool seen, std::uint32_t high,
                            std::uint32_t seq) const;
-  /// Registers a fresh accept for rate plausibility; true on violation.
-  bool rate_violation(IdentityState& s, double t);
-  /// Same sliding-window test over an arbitrary accept list (the acoustic
-  /// path keeps its own window with its own limits).
+  /// Registers a fresh accept in a sliding rate window (reports and
+  /// acoustic contacts keep separate windows and limits); true on
+  /// violation.
   bool window_violation(std::vector<double>& window, double t,
                         double window_s, std::size_t limit) const;
   void add_suspicion(NodeId id, IdentityState& s, double amount, double t);
 
   NodeId guard_ = 0;
-  DefenseConfig config_;
+  double acoustic_max_snr_db_ = 0.0;
   std::vector<util::Vec2> anchors_;
   std::map<NodeId, IdentityState> states_;
   std::optional<NodeId> quarantine_started_;

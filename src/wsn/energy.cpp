@@ -6,52 +6,30 @@
 
 namespace sid::wsn {
 
-EnergyMeter::EnergyMeter(const EnergyConfig& config) : config_(config) {
-  util::require(config.battery_mj > 0.0,
-                "EnergyMeter: battery must be positive");
+EnergyMeter::EnergyMeter(double battery_mj) : battery_mj_(battery_mj) {
+  util::require(battery_mj > 0.0, "EnergyMeter: battery must be positive");
 }
 
 void EnergyMeter::spend_tx(std::size_t bytes) {
-  const double mj = config_.tx_per_byte_mj * static_cast<double>(bytes);
+  const double mj = kTxPerByteMj * static_cast<double>(bytes);
   tx_mj_ += mj;
   spent_mj_ += mj;
 }
 
 void EnergyMeter::spend_rx(std::size_t bytes) {
-  const double mj = config_.rx_per_byte_mj * static_cast<double>(bytes);
+  const double mj = kRxPerByteMj * static_cast<double>(bytes);
   rx_mj_ += mj;
   spent_mj_ += mj;
 }
 
 void EnergyMeter::spend_samples(std::size_t samples) {
-  const double mj = config_.sample_mj * static_cast<double>(samples);
+  const double mj = kSampleMj * static_cast<double>(samples);
   sensing_mj_ += mj;
   spent_mj_ += mj;
 }
 
-void EnergyMeter::spend_cpu_ms(double ms) {
-  util::require(ms >= 0.0, "EnergyMeter::spend_cpu_ms: negative time");
-  const double mj = config_.cpu_per_ms_mj * ms;
-  cpu_mj_ += mj;
-  spent_mj_ += mj;
-}
-
-void EnergyMeter::spend_idle_s(double seconds) {
-  util::require(seconds >= 0.0, "EnergyMeter::spend_idle_s: negative time");
-  const double mj = config_.idle_per_s_mj * seconds;
-  idle_mj_ += mj;
-  spent_mj_ += mj;
-}
-
-void EnergyMeter::spend_sleep_s(double seconds) {
-  util::require(seconds >= 0.0, "EnergyMeter::spend_sleep_s: negative time");
-  const double mj = config_.sleep_per_s_mj * seconds;
-  sleep_mj_ += mj;
-  spent_mj_ += mj;
-}
-
 double EnergyMeter::remaining_mj() const {
-  return std::max(0.0, config_.battery_mj - spent_mj_);
+  return std::max(0.0, battery_mj_ - spent_mj_);
 }
 
 }  // namespace sid::wsn

@@ -2,10 +2,11 @@
 //
 // The paper motivates transmitting only extracted features ("due to the
 // energy constraints of the sensor node... it is better that only the
-// extracted features are transmitted", §IV-A) and duty-cycling ("some
-// nodes in a group may keep active to perform a coarse detection while
-// other nodes sleep"). The energy model quantifies both choices; the
-// ablation bench compares feature-forwarding vs raw-sample forwarding.
+// extracted features are transmitted", §IV-A). The meter charges every
+// radio byte and every accelerometer sample against the node's battery;
+// the Network enforces depletion. Duty cycling ("some nodes in a group
+// may keep active to perform a coarse detection while other nodes
+// sleep") is evaluated by core/duty_cycle with its own power model.
 // Costs are representative iMote2 + CC2420-class numbers.
 #pragma once
 
@@ -13,27 +14,24 @@
 
 namespace sid::wsn {
 
-struct EnergyConfig {
-  double battery_mj = 20'000.0;     ///< usable budget, millijoules
-  double tx_per_byte_mj = 0.0060;   ///< transmit cost per byte
-  double rx_per_byte_mj = 0.0067;   ///< receive cost per byte
-  double sample_mj = 0.0050;        ///< one 3-axis ADC sample
-  double cpu_per_ms_mj = 0.0300;    ///< active CPU per millisecond
-  double idle_per_s_mj = 0.3000;    ///< idle listen per second
-  double sleep_per_s_mj = 0.0060;   ///< deep sleep per second
-};
+/// Usable battery budget of a node without a FaultPlan override.
+inline constexpr double kDefaultBatteryMj = 20'000.0;
+/// Radio cost per transmitted and per received byte.
+inline constexpr double kTxPerByteMj = 0.0060;
+inline constexpr double kRxPerByteMj = 0.0067;
+/// One 3-axis ADC sample.
+inline constexpr double kSampleMj = 0.0050;
 
-/// Accumulates spent energy per category.
+/// Accumulates spent energy per category against a battery budget.
 class EnergyMeter {
  public:
-  explicit EnergyMeter(const EnergyConfig& config = {});
+  /// `battery_mj` must be positive (FaultPlan::battery_overrides sets
+  /// per-node budgets).
+  explicit EnergyMeter(double battery_mj = kDefaultBatteryMj);
 
   void spend_tx(std::size_t bytes);
   void spend_rx(std::size_t bytes);
   void spend_samples(std::size_t samples);
-  void spend_cpu_ms(double ms);
-  void spend_idle_s(double seconds);
-  void spend_sleep_s(double seconds);
 
   double spent_mj() const { return spent_mj_; }
   double remaining_mj() const;
@@ -42,21 +40,13 @@ class EnergyMeter {
   double tx_mj() const { return tx_mj_; }
   double rx_mj() const { return rx_mj_; }
   double sensing_mj() const { return sensing_mj_; }
-  double cpu_mj() const { return cpu_mj_; }
-  double idle_mj() const { return idle_mj_; }
-  double sleep_mj() const { return sleep_mj_; }
-
-  const EnergyConfig& config() const { return config_; }
 
  private:
-  EnergyConfig config_;
+  double battery_mj_;
   double spent_mj_ = 0.0;
   double tx_mj_ = 0.0;
   double rx_mj_ = 0.0;
   double sensing_mj_ = 0.0;
-  double cpu_mj_ = 0.0;
-  double idle_mj_ = 0.0;
-  double sleep_mj_ = 0.0;
 };
 
 }  // namespace sid::wsn

@@ -56,8 +56,9 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed)
     if (!inserted) it->second = std::min(it->second, crash.time_s);
   }
   for (const auto& override_spec : plan_.battery_overrides) {
-    util::require(override_spec.battery_mj >= 0.0,
-                  "FaultPlan: battery override must be non-negative");
+    // A node dead from deployment is written crashes {node, 0.0}.
+    util::require(override_spec.battery_mj > 0.0,
+                  "FaultPlan: battery override must be positive");
   }
   for (const auto& window : plan_.congestion) {
     util::require(window.end_s >= window.start_s,

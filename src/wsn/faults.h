@@ -35,8 +35,9 @@ struct NodeCrash {
   double time_s = 0.0;
 };
 
-/// Replaces the node's battery budget (mJ). Used to make depletion —
-/// which the network now enforces — reachable inside a short scenario.
+/// Replaces the node's battery budget (mJ, positive). Used to make
+/// depletion — which the network now enforces — reachable inside a short
+/// scenario.
 struct BatteryOverride {
   NodeId node = 0;
   double battery_mj = 1.0;

@@ -29,10 +29,9 @@ void NeighborTable::boot_neighbor(NodeId id,
   entry.quality = 0.5;  // uninformed prior, sharpened by the boot rounds
   for (const bool heard : receptions) {
     entry.slot_bits = (entry.slot_bits << 1) | (heard ? 1u : 0u);
-    entry.slots_observed =
-        std::min(entry.slots_observed + 1, config_.liveness_window_n);
-    entry.quality = (1.0 - config_.ewma_alpha) * entry.quality +
-                    config_.ewma_alpha * (heard ? 1.0 : 0.0);
+    entry.slots_observed = std::min(entry.slots_observed + 1, kLivenessWindowN);
+    entry.quality =
+        (1.0 - kEwmaAlpha) * entry.quality + kEwmaAlpha * (heard ? 1.0 : 0.0);
     if (heard) entry.last_heard_s = 0.0;
   }
   const auto it = std::lower_bound(
@@ -49,8 +48,8 @@ bool NeighborTable::mark_suspected(NeighborEntry& entry, double t) {
   entry.suspected = true;
   entry.suspicion_streak += 1;
   const double backoff =
-      std::min(config_.blacklist_cap_s,
-               config_.blacklist_base_s *
+      std::min(kBlacklistCapS,
+               kBlacklistBaseS *
                    static_cast<double>(1ULL << std::min<std::size_t>(
                                            entry.suspicion_streak - 1, 32)));
   entry.blacklist_until_s = t + backoff;
@@ -78,26 +77,22 @@ bool NeighborTable::on_beacon(NodeId from, double t) {
 
 std::vector<NodeId> NeighborTable::sweep(double t) {
   std::vector<NodeId> newly_suspected;
-  const std::uint32_t window_mask =
-      config_.liveness_window_n >= 32
-          ? 0xFFFFFFFFu
-          : ((1u << config_.liveness_window_n) - 1u);
+  constexpr std::uint32_t window_mask = (1u << kLivenessWindowN) - 1u;
   for (NeighborEntry& entry : entries_) {
     const bool heard = entry.heard_this_slot;
     entry.heard_this_slot = false;
     entry.slot_bits = ((entry.slot_bits << 1) | (heard ? 1u : 0u));
-    entry.slots_observed =
-        std::min(entry.slots_observed + 1, config_.liveness_window_n);
-    entry.quality = (1.0 - config_.ewma_alpha) * entry.quality +
-                    config_.ewma_alpha * (heard ? 1.0 : 0.0);
+    entry.slots_observed = std::min(entry.slots_observed + 1, kLivenessWindowN);
+    entry.quality =
+        (1.0 - kEwmaAlpha) * entry.quality + kEwmaAlpha * (heard ? 1.0 : 0.0);
     // K-of-N: count silent slots among the last N observed.
     const std::uint32_t recent = entry.slot_bits & window_mask;
     const std::size_t observed =
-        std::min(entry.slots_observed, config_.liveness_window_n);
+        std::min(entry.slots_observed, kLivenessWindowN);
     const std::size_t heard_slots =
         static_cast<std::size_t>(std::popcount(recent));
     const std::size_t missed = observed - std::min(heard_slots, observed);
-    if (missed >= config_.suspect_missed_k) {
+    if (missed >= kSuspectMissedK) {
       if (mark_suspected(entry, t)) newly_suspected.push_back(entry.id);
     }
   }
@@ -108,8 +103,7 @@ bool NeighborTable::on_tx_success(NodeId to, double t) {
   NeighborEntry* entry = find(to);
   if (entry == nullptr) return false;
   entry->last_heard_s = t;
-  entry->quality = (1.0 - config_.ewma_alpha) * entry->quality +
-                   config_.ewma_alpha;
+  entry->quality = (1.0 - kEwmaAlpha) * entry->quality + kEwmaAlpha;
   return clear_suspicion(*entry);
 }
 
@@ -117,8 +111,8 @@ bool NeighborTable::on_tx_failure(NodeId to, double t) {
   NeighborEntry* entry = find(to);
   if (entry == nullptr) return false;
   entry->consecutive_tx_failures += 1;
-  entry->quality = (1.0 - config_.ewma_alpha) * entry->quality;
-  if (entry->consecutive_tx_failures >= config_.suspect_tx_failures) {
+  entry->quality = (1.0 - kEwmaAlpha) * entry->quality;
+  if (entry->consecutive_tx_failures >= kSuspectTxFailures) {
     return mark_suspected(*entry, t);
   }
   return false;

@@ -28,37 +28,46 @@
 
 namespace sid::wsn {
 
-struct NeighborConfig {
-  /// Nominal hello-beacon period (seconds).
-  double beacon_period_s = 5.0;
-  /// Uniform per-tick jitter added to the period so beacons desynchronize
-  /// (drawn from the network's master-seed-derived beacon stream).
-  double beacon_jitter_s = 1.0;
-  /// Beacon payload size (node id + a few table digests), for the energy
-  /// and congestion models.
-  std::size_t beacon_bytes = 18;
-  /// Deployment-time discovery rounds (§III-A: nodes are placed manually
-  /// and pre-synchronized; the boot handshake seeds the tables so the
-  /// field is routable at t = 0). Boot receptions are physically sampled
-  /// but cost no battery — commissioning energy is out of scope.
-  std::size_t boot_rounds = 5;
-  /// EWMA weight of the newest beacon-slot observation.
-  double ewma_alpha = 0.25;
-  /// Links with estimated quality below this never enter the forwarding
-  /// set (the learned analogue of the oracle's ground-truth PRR
-  /// threshold, network.cpp kOracleMinLinkPrr).
-  double min_quality = 0.25;
-  /// Liveness rule: suspect a neighbor when at least `suspect_missed_k`
-  /// of the last `liveness_window_n` expected beacon slots were silent.
-  std::size_t liveness_window_n = 8;
-  std::size_t suspect_missed_k = 4;
-  /// Fast path: suspect after this many consecutive link-layer
-  /// transmission failures (ARQ exhaustion) toward the neighbor.
-  std::size_t suspect_tx_failures = 2;
-  /// Quarantine after the first suspicion; doubles per re-confirmation.
-  double blacklist_base_s = 8.0;
-  double blacklist_cap_s = 64.0;
-};
+// Protocol constants (DESIGN.md §5f). Every node runs the same protocol,
+// so no table carries its own copy.
+
+/// Nominal hello-beacon period (seconds).
+inline constexpr double kBeaconPeriodS = 5.0;
+/// Uniform per-tick jitter added to the period so beacons desynchronize
+/// (drawn from the node's master-seed-derived beacon stream).
+inline constexpr double kBeaconJitterS = 1.0;
+/// Beacon payload size (node id + a few table digests), for the energy
+/// and congestion models.
+inline constexpr std::size_t kBeaconBytes = 18;
+/// Deployment-time discovery rounds (§III-A: nodes are placed manually
+/// and pre-synchronized; the boot handshake seeds the tables so the field
+/// is routable at t = 0). Boot receptions are physically sampled but
+/// cost no battery — commissioning energy is out of scope.
+inline constexpr std::size_t kBootRounds = 5;
+/// EWMA weight of the newest beacon-slot observation.
+inline constexpr double kEwmaAlpha = 0.25;
+/// Links with estimated quality below this never enter the forwarding
+/// set (the learned analogue of the oracle's ground-truth PRR threshold,
+/// network.cpp kOracleMinLinkPrr).
+inline constexpr double kMinQuality = 0.25;
+/// Liveness rule: suspect a neighbor when at least `kSuspectMissedK` of
+/// the last `kLivenessWindowN` expected beacon slots were silent.
+inline constexpr std::size_t kLivenessWindowN = 8;
+inline constexpr std::size_t kSuspectMissedK = 4;
+/// Fast path: suspect after this many consecutive link-layer
+/// transmission failures (ARQ exhaustion) toward the neighbor.
+inline constexpr std::size_t kSuspectTxFailures = 2;
+/// Quarantine after the first suspicion; doubles per re-confirmation.
+inline constexpr double kBlacklistBaseS = 8.0;
+inline constexpr double kBlacklistCapS = 64.0;
+
+static_assert(kBeaconPeriodS > 0.0, "beacon ticks must advance");
+// Keeps every learned quality in [0, 1], hence every ETX >= 1: the
+// premise of the route search's lower bound (Network::learned_path).
+static_assert(kEwmaAlpha >= 0.0 && kEwmaAlpha <= 1.0,
+              "EWMA weight must be in [0, 1]");
+static_assert(kLivenessWindowN < 32,
+              "the slot window must fit NeighborEntry::slot_bits");
 
 struct NeighborEntry {
   NodeId id = 0;
@@ -81,8 +90,7 @@ struct NeighborEntry {
 class NeighborTable {
  public:
   NeighborTable() = default;
-  NeighborTable(NodeId self, const NeighborConfig& config)
-      : self_(self), config_(config) {}
+  explicit NeighborTable(NodeId self) : self_(self) {}
 
   /// Registers a physical neighbor discovered at deployment, seeding the
   /// estimate from the boot-round reception outcomes (oldest first).
@@ -111,7 +119,7 @@ class NeighborTable {
   /// The same test on an entry of entries(), without the id lookup
   /// (inline: route searches call it once per explored link).
   bool usable(const NeighborEntry& entry, double t) const {
-    if (entry.quality < config_.min_quality) return false;
+    if (entry.quality < kMinQuality) return false;
     return !(entry.suspected && t < entry.blacklist_until_s);
   }
 
@@ -122,8 +130,8 @@ class NeighborTable {
   double quality(NodeId id) const;
 
   /// Expected transmission count for the link (1/quality, floored so a
-  /// barely-alive link costs much but not infinitely). At least 1 while
-  /// ewma_alpha is in [0, 1], which keeps quality in [0, 1].
+  /// barely-alive link costs much but not infinitely). At least 1, since
+  /// kEwmaAlpha in [0, 1] keeps quality in [0, 1].
   double etx(NodeId id) const;
   /// The same cost for an entry of entries(), without the id lookup.
   static double etx(const NeighborEntry& entry) {
@@ -151,7 +159,6 @@ class NeighborTable {
   bool clear_suspicion(NeighborEntry& entry);
 
   NodeId self_ = 0;
-  NeighborConfig config_;
   std::vector<NeighborEntry> entries_;  ///< sorted by id (deterministic)
 };
 

@@ -37,7 +37,7 @@ constexpr std::uint64_t kAttackStream = 0x6174746bULL;
 // long, nearly-dead links at the edge of radio range. In self-healing
 // mode adjacency admits *every* physically-reachable link (distance <=
 // RadioConfig::max_range_m, boundary inclusive) and the learned tables'
-// NeighborConfig::min_quality is the in-band analogue that gates link
+// kMinQuality (wsn/neighbor.h) is the in-band analogue that gates link
 // *use* (DESIGN.md §5f; pinned by
 // NetworkTest.BoundaryLinkAdmissionMatchesRoutingMode).
 constexpr double kOracleMinLinkPrr = 0.7;
@@ -131,11 +131,6 @@ Network::Network(const NetworkConfig& config)
   util::require(config.sink_node < config.rows * config.cols,
                 "Network: sink_node out of grid");
   util::require(config.shards >= 1, "Network: shards must be at least 1");
-  // Keeps every learned quality in [0, 1], hence every ETX >= 1: the
-  // premise of the route search's lower bound (learned_path).
-  util::require(config.neighbor.ewma_alpha >= 0.0 &&
-                    config.neighbor.ewma_alpha <= 1.0,
-                "Network: neighbor.ewma_alpha must be in [0, 1]");
   util::require(config.radio.hop_delay_fixed_s > 0.0,
                 "Network: hop_delay_fixed_s must be positive (it is the "
                 "windowed engine's lookahead)");
@@ -146,13 +141,31 @@ Network::Network(const NetworkConfig& config)
   build_adjacency();
   if (config_.routing == RoutingMode::kSelfHealing) boot_discovery();
   build_shards();
+  const auto check_id = [this](NodeId id, const char* what) {
+    util::require(id < nodes_.size(), what);
+  };
+  // A plan entry naming no deployed node would silently do nothing.
+  const FaultPlan& plan = config_.faults;
+  for (const auto& crash : plan.crashes) {
+    check_id(crash.node, "FaultPlan: crash node out of grid");
+  }
+  for (const auto& battery : plan.battery_overrides) {
+    check_id(battery.node, "FaultPlan: battery override node out of grid");
+  }
+  for (const auto& burst : plan.link_bursts) {
+    check_id(burst.a, "FaultPlan: link burst endpoint out of grid");
+    check_id(burst.b, "FaultPlan: link burst endpoint out of grid");
+  }
+  for (const auto& spec : plan.sensor_faults) {
+    check_id(spec.node, "FaultPlan: sensor fault node out of grid");
+  }
+  for (const auto& spec : plan.acoustic_faults) {
+    check_id(spec.node, "FaultPlan: acoustic fault node out of grid");
+  }
   if (!config_.attacks.empty()) {
     util::require(config_.routing == RoutingMode::kSelfHealing,
                   "Network: the attack layer requires self-healing routing");
     validate_attack_plan(config_.attacks);
-    const auto check_id = [this](NodeId id, const char* what) {
-      util::require(id < nodes_.size(), what);
-    };
     for (const auto& atk : config_.attacks.replays) {
       check_id(atk.attacker, "AttackPlan: replay attacker out of grid");
     }
@@ -226,13 +239,10 @@ void Network::build_grid() {
       ClockConfig clock_cfg = config_.clock;
       clock_cfg.seed = (config_.seed * 1000003ULL + id) ^
                        stream_offset(config_.seed, kClockStream + clock_cfg.seed);
-      EnergyConfig energy_cfg = config_.energy;
-      if (const auto battery = faults_.battery_override(id)) {
-        energy_cfg.battery_mj = *battery;
-      }
+      const double battery_mj =
+          faults_.battery_override(id).value_or(kDefaultBatteryMj);
       nodes_.emplace_back(id, anchor, static_cast<std::int32_t>(r),
-                          static_cast<std::int32_t>(c), clock_cfg,
-                          energy_cfg);
+                          static_cast<std::int32_t>(c), clock_cfg, battery_mj);
       ++id;
     }
   }
@@ -282,10 +292,10 @@ void Network::boot_discovery() {
   tables_.clear();
   tables_.reserve(nodes_.size());
   for (const NodeInfo& info : nodes_) {
-    tables_.emplace_back(info.id, config_.neighbor);
+    tables_.emplace_back(info.id);
   }
   const double extra_loss = radio_.config().extra_loss_probability;
-  std::vector<bool> receptions(config_.neighbor.boot_rounds);
+  std::vector<bool> receptions(kBootRounds);
   for (std::size_t u = 0; u < nodes_.size(); ++u) {
     for (const NodeId v : adjacency_[u]) {
       const double d = util::distance(nodes_[u].anchor, nodes_[v].anchor);
@@ -370,8 +380,6 @@ void Network::start_beacons(double until_s) {
   beacons_until_ = until_s;
   if (running) return;  // live ticks reschedule against the new horizon
   const double now = events_.now();
-  const double period = config_.neighbor.beacon_period_s;
-  util::require(period > 0.0, "Network: beacon period must be positive");
   // Stagger first beacons uniformly over one period so the field
   // desynchronizes from the start (randomized jitter keeps it so). Each
   // node's offset comes from its own derived stream and its tick lives on
@@ -380,7 +388,7 @@ void Network::start_beacons(double until_s) {
   for (const NodeInfo& info : nodes_) {
     const NodeId id = info.id;
     const std::size_t s = node_shard_[id];
-    const double offset = node_rngs_[id].uniform(0.0, period);
+    const double offset = node_rngs_[id].uniform(0.0, kBeaconPeriodS);
     shards_[s].lane.schedule_at(now + offset,
                                 [this, s, id] { beacon_tick(s, id); });
   }
@@ -441,8 +449,7 @@ void Network::beacon_tick(std::size_t s, NodeId id) {
   }
   shard.records.push_back(std::move(rec));
   const double next =
-      t + config_.neighbor.beacon_period_s +
-      node_rngs_[id].uniform(0.0, config_.neighbor.beacon_jitter_s);
+      t + kBeaconPeriodS + node_rngs_[id].uniform(0.0, kBeaconJitterS);
   if (next <= beacons_until_) {
     shard.lane.schedule_at(next, [this, s, id] { beacon_tick(s, id); });
   }
@@ -462,14 +469,13 @@ void Network::commit_beacon_records() {
               if (a->t != b->t) return a->t < b->t;
               return a->sender < b->sender;
             });
-  const std::size_t bytes = config_.neighbor.beacon_bytes;
   for (const BeaconTickRecord* rec : order) {
     for (const NodeId suspect : rec->suspects) {
       note_suspicion(rec->sender, suspect, rec->t);
     }
     counters_.beacons_sent.add();
-    nodes_[rec->sender].energy.spend_tx(bytes);
-    counters_.bytes_sent.add(bytes);
+    nodes_[rec->sender].energy.spend_tx(kBeaconBytes);
+    counters_.bytes_sent.add(kBeaconBytes);
     for (const NodeId v : rec->receivers) {
       if (faults_.active()) {
         if (faults_.congestion_drops(rec->t)) {
@@ -481,7 +487,7 @@ void Network::commit_beacon_records() {
           continue;
         }
       }
-      nodes_[v].energy.spend_rx(bytes);
+      nodes_[v].energy.spend_rx(kBeaconBytes);
       counters_.beacon_receptions.add();
       if (tables_[v].on_beacon(rec->sender, rec->t)) {
         note_false_suspicion(v, rec->sender, rec->t);
@@ -1035,8 +1041,7 @@ bool Network::defense_admit(NodeId receiver, const Message& msg, NodeId via,
     const double expected =
         util::distance(nodes_[via].anchor, nodes_[receiver].anchor);
     if (std::abs(via_dist_m - expected) >
-        config_.defense.beacon_range_tolerance_frac * expected +
-            config_.defense.beacon_range_slack_m) {
+        kBeaconRangeToleranceFrac * expected + kBeaconRangeSlackM) {
       counters_.defense_filtered.add();
       SID_TRACE(&tracer_, obs::Category::kNet, "defense_filter", t,
                 {{"guard", receiver}, {"via", via}, {"reason", "range"}});
@@ -1115,8 +1120,7 @@ bool Network::beacon_plausible(NodeId listener, NodeId claimed,
   const double expected =
       util::distance(nodes_[claimed].anchor, nodes_[listener].anchor);
   const double tolerance =
-      config_.defense.beacon_range_tolerance_frac * expected +
-      config_.defense.beacon_range_slack_m;
+      kBeaconRangeToleranceFrac * expected + kBeaconRangeSlackM;
   return std::abs(measured - expected) <= tolerance;
 }
 
@@ -1279,9 +1283,8 @@ void Network::spoof_tick(std::size_t index) {
     // broadcast originates at the attacker — reception sampling and RSSI
     // follow the attacker's geometry, which is what the defense checks.
     counters_.attack_beacon_spoofs.add();
-    const std::size_t bytes = config_.neighbor.beacon_bytes;
-    nodes_[atk.attacker].energy.spend_tx(bytes);
-    counters_.bytes_sent.add(bytes);
+    nodes_[atk.attacker].energy.spend_tx(kBeaconBytes);
+    counters_.bytes_sent.add(kBeaconBytes);
     const double extra_loss = radio_.config().extra_loss_probability;
     for (const NodeId v : adjacency_[atk.attacker]) {
       if (!node_operational(v, t)) continue;
@@ -1289,7 +1292,7 @@ void Network::spoof_tick(std::size_t index) {
           util::distance(nodes_[atk.attacker].anchor, nodes_[v].anchor);
       const double p = radio_.prr(d) * (1.0 - extra_loss);
       if (!attack_rng_.bernoulli(p)) continue;
-      nodes_[v].energy.spend_rx(bytes);
+      nodes_[v].energy.spend_rx(kBeaconBytes);
       if (!qview_.empty() && qview_[v][atk.spoofed] != 0) continue;
       if (defense_active() && !beacon_plausible(v, atk.spoofed, atk.attacker)) {
         counters_.defense_spoofs_ignored.add();

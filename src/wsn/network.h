@@ -44,14 +44,13 @@ struct NodeInfo {
   EnergyMeter energy;
 
   NodeInfo(NodeId id_, util::Vec2 anchor_, std::int32_t row,
-           std::int32_t col, const ClockConfig& clock_cfg,
-           const EnergyConfig& energy_cfg)
+           std::int32_t col, const ClockConfig& clock_cfg, double battery_mj)
       : id(id_),
         anchor(anchor_),
         grid_row(row),
         grid_col(col),
         clock(clock_cfg),
-        energy(energy_cfg) {}
+        energy(battery_mj) {}
 };
 
 /// Default master seed (see NetworkConfig::seed). Component streams are
@@ -80,7 +79,6 @@ struct NetworkConfig {
   double spacing_m = 25.0;   ///< the paper's deployment distance D
   RadioConfig radio;
   ClockConfig clock;
-  EnergyConfig energy;
   /// Link-layer retransmissions per hop (0 = none).
   std::size_t max_retransmissions = 2;
   /// Master seed. Every stochastic sub-component (radio, per-node
@@ -97,8 +95,6 @@ struct NetworkConfig {
   /// §5f); the determinism contract is relative (same seed ⇒ same run),
   /// not tied to historical hashes.
   RoutingMode routing = RoutingMode::kSelfHealing;
-  /// Beacon/neighbor-table knobs for self-healing mode.
-  NeighborConfig neighbor;
   /// Scheduled adversarial traffic (strictly opt-in; an empty plan draws
   /// nothing and schedules nothing, keeping runs bit-identical to seed).
   /// Requires self-healing routing.

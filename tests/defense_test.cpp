@@ -62,14 +62,8 @@ Message decision_msg(NodeId head, NodeId src, std::uint32_t e2e_seq,
 
 class GuardLedgerTest : public ::testing::Test {
  protected:
-  GuardLedgerTest() : anchors_(line_anchors(6)) {
-    config_.enabled = true;
-    ledger_ = GuardLedger(0, config_, anchors_);
-  }
-
-  DefenseConfig config_;
-  std::vector<util::Vec2> anchors_;
-  GuardLedger ledger_;
+  std::vector<util::Vec2> anchors_ = line_anchors(6);
+  GuardLedger ledger_{0, DefenseConfig{}, anchors_};
 };
 
 TEST_F(GuardLedgerTest, HonestReportStreamAccepted) {
@@ -98,9 +92,8 @@ TEST_F(GuardLedgerTest, BootstrapFarFromZeroRejectedWithoutAnchoring) {
 TEST_F(GuardLedgerTest, ForwardJumpBeyondHorizonRejected) {
   EXPECT_EQ(ledger_.assess(report_msg(2, anchors_, 0), 1.0),
             IngressVerdict::kAccept);
-  EXPECT_EQ(
-      ledger_.assess(report_msg(2, anchors_, config_.seq_horizon + 5), 2.0),
-      IngressVerdict::kSeqJump);
+  EXPECT_EQ(ledger_.assess(report_msg(2, anchors_, kSeqHorizon + 5), 2.0),
+            IngressVerdict::kSeqJump);
   // The watermark stayed put: the honest successor is still fresh.
   EXPECT_EQ(ledger_.assess(report_msg(2, anchors_, 1), 3.0),
             IngressVerdict::kAccept);
@@ -161,67 +154,67 @@ TEST_F(GuardLedgerTest, RejectedDecisionCommitsNeitherWatermark) {
 }
 
 TEST_F(GuardLedgerTest, RateFloodQuarantinesWithHysteresisAndRelease) {
-  DefenseConfig config = config_;
-  config.rate_limit = 3;  // violations from the 4th fresh accept / 60 s
-  GuardLedger ledger(0, config, anchors_);
-
   std::uint32_t seq = 0;
   double t = 1.0;
   IngressVerdict v = IngressVerdict::kAccept;
   std::optional<NodeId> started;
   // Flood fresh reports once per second until the decaying score crosses
-  // the threshold (1.5 per violation, threshold 3.0: the third violation
-  // at this pace).
+  // the threshold. Violations start at the (kRateLimit + 1)-th fresh
+  // accept inside one window; at 1.5 per violation against 3.0, the
+  // third violation at this pace crosses (the second decays to ~2.99).
   for (int i = 0; i < 16 && !started; ++i, t += 1.0) {
-    v = ledger.assess(report_msg(2, anchors_, seq++), t);
-    started = ledger.quarantine_started();
+    v = ledger_.assess(report_msg(2, anchors_, seq++), t);
+    started = ledger_.quarantine_started();
   }
   ASSERT_TRUE(started.has_value());
   EXPECT_EQ(*started, 2u);
+  EXPECT_EQ(seq, kRateLimit + 3);
   EXPECT_EQ(v, IngressVerdict::kRate);
-  EXPECT_TRUE(ledger.quarantined(2, t));
-  EXPECT_GE(ledger.score(2, t), config.quarantine_threshold);
+  EXPECT_TRUE(ledger_.quarantined(2, t));
+  EXPECT_GE(ledger_.score(2, t), kQuarantineThreshold);
 
   // While quarantined, everything from the identity is gated.
-  EXPECT_EQ(ledger.assess(report_msg(2, anchors_, seq), t + 1.0),
+  EXPECT_EQ(ledger_.assess(report_msg(2, anchors_, seq), t + 1.0),
             IngressVerdict::kQuarantined);
   // quarantine_started() reports only FRESH triggers.
-  EXPECT_FALSE(ledger.quarantine_started().has_value());
+  EXPECT_FALSE(ledger_.quarantine_started().has_value());
 
   // Probation release: after the quarantine period the identity's
   // ordinary traffic is accepted again (score and rate window reset).
-  const double release_t = t + config.quarantine_s + 1.0;
-  EXPECT_EQ(ledger.assess(report_msg(2, anchors_, seq), release_t),
+  const double release_t = t + kQuarantineS + 1.0;
+  EXPECT_EQ(ledger_.assess(report_msg(2, anchors_, seq), release_t),
             IngressVerdict::kAccept);
-  EXPECT_FALSE(ledger.quarantined(2, release_t));
-  EXPECT_EQ(ledger.score(2, release_t), 0.0);
+  EXPECT_FALSE(ledger_.quarantined(2, release_t));
+  EXPECT_EQ(ledger_.score(2, release_t), 0.0);
 }
 
 TEST_F(GuardLedgerTest, SuspicionDecaysSoSpacedViolationsNeverQuarantine) {
-  DefenseConfig config = config_;
-  config.rate_limit = 1;
-  config.score_half_life_s = 10.0;
-  GuardLedger ledger(0, config, anchors_);
-
-  // First violation: two fresh accepts inside one rate window.
-  EXPECT_EQ(ledger.assess(report_msg(2, anchors_, 0), 1.0),
-            IngressVerdict::kAccept);
-  EXPECT_EQ(ledger.assess(report_msg(2, anchors_, 1), 2.0),
-            IngressVerdict::kRate);
-  const double s0 = ledger.score(2, 2.0);
+  // One violation: kRateLimit + 1 fresh accepts inside one rate window,
+  // one per second. Returns the verdict of the last.
+  std::uint32_t seq = 0;
+  const auto burst = [&](double t0) {
+    for (std::size_t i = 0; i < kRateLimit; ++i) {
+      EXPECT_EQ(ledger_.assess(report_msg(2, anchors_, seq++),
+                               t0 + static_cast<double>(i)),
+                IngressVerdict::kAccept);
+    }
+    return ledger_.assess(report_msg(2, anchors_, seq++),
+                          t0 + static_cast<double>(kRateLimit));
+  };
+  const double t1 = 1.0 + static_cast<double>(kRateLimit);
+  EXPECT_EQ(burst(1.0), IngressVerdict::kRate);
+  const double s0 = ledger_.score(2, t1);
   EXPECT_GT(s0, 0.0);
   // One half-life later the score has halved.
-  EXPECT_NEAR(ledger.score(2, 2.0 + config.score_half_life_s), s0 / 2.0,
-              1e-9);
+  EXPECT_NEAR(ledger_.score(2, t1 + kScoreHalfLifeS), s0 / 2.0, 1e-9);
 
   // A second violation ten half-lives later starts from ~zero: isolated
   // bursts fade instead of accumulating toward quarantine.
-  EXPECT_EQ(ledger.assess(report_msg(2, anchors_, 2), 102.0),
-            IngressVerdict::kAccept);
-  EXPECT_EQ(ledger.assess(report_msg(2, anchors_, 3), 103.0),
-            IngressVerdict::kRate);
-  EXPECT_LT(ledger.score(2, 103.0), config.quarantine_threshold);
-  EXPECT_FALSE(ledger.quarantined(2, 103.0));
+  const double t2 = t1 + 10.0 * kScoreHalfLifeS;
+  EXPECT_EQ(burst(t2), IngressVerdict::kRate);
+  const double t2_end = t2 + static_cast<double>(kRateLimit);
+  EXPECT_LT(ledger_.score(2, t2_end), kQuarantineThreshold);
+  EXPECT_FALSE(ledger_.quarantined(2, t2_end));
 }
 
 // --------------------------------------- network-level attack/defense

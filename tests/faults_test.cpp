@@ -173,10 +173,11 @@ TEST(FaultInjectorTest, RejectsMalformedPlans) {
     plan.congestion.push_back({30.0, 10.0, 0.2});  // ends before start
     EXPECT_THROW(wsn::FaultInjector(plan, 1), util::InvalidArgument);
   }
-  {
+  for (const double battery_mj : {-5.0, 0.0}) {
     wsn::FaultPlan plan;
-    plan.battery_overrides.push_back({0, -5.0});
-    EXPECT_THROW(wsn::FaultInjector(plan, 1), util::InvalidArgument);
+    plan.battery_overrides.push_back({0, battery_mj});
+    EXPECT_THROW(wsn::FaultInjector(plan, 1), util::InvalidArgument)
+        << battery_mj;
   }
 }
 

@@ -162,18 +162,22 @@ TEST(MetricsJsonTest, IdenticalContentsProduceIdenticalText) {
 TEST(TraceTest, EmitsOneJsonObjectPerLine) {
   std::ostringstream sink;
   Tracer tracer;
+  FlightRecorder recorder(8);
   tracer.attach(&sink, kAllCategories);
+  tracer.set_recorder(&recorder);
   tracer.emit(Category::kNet, "msg_tx", 1.5,
               {{"src", 3}, {"bytes", std::size_t{41}}, {"ok", true}});
   tracer.emit(Category::kSink, "decision", 2.25,
               {{"note", "say \"hi\""}, {"corr", 0.75}});
+  tracer.emit_span(Category::kNode, "span_origin", 3.0, 0.125, 0xabcULL,
+                   {{"hop", -2}, {"last", false}});
   tracer.close();
-  EXPECT_EQ(tracer.events_emitted(), 2u);
+  EXPECT_EQ(tracer.events_emitted(), 3u);
 
   std::istringstream in(sink.str());
   std::vector<std::string> lines;
   for (std::string line; std::getline(in, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 2u);
+  ASSERT_EQ(lines.size(), 3u);
   EXPECT_EQ(lines[0].find("{\"t\":"), 0u);
   EXPECT_NE(lines[0].find("\"cat\":\"net\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"name\":\"msg_tx\""), std::string::npos);
@@ -184,6 +188,12 @@ TEST(TraceTest, EmitsOneJsonObjectPerLine) {
   // String values are escaped, doubles are round-trip formatted.
   EXPECT_NE(lines[1].find("say \\\"hi\\\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"corr\":0.75"), std::string::npos);
+  // The flight recorder promises the exact Tracer line format: its dump,
+  // minus the header, repeats the trace byte for byte.
+  std::ostringstream dump;
+  recorder.dump(dump);
+  const std::string text = dump.str();
+  EXPECT_EQ(text.substr(text.find('\n') + 1), sink.str());
 }
 
 TEST(TraceTest, DisabledCategoriesAreFilteredOut) {

@@ -6,10 +6,14 @@
 // an explicit give-up, never a hang).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <tuple>
 #include <vector>
 
+#include "util/rng.h"
 #include "wsn/faults.h"
 #include "wsn/messages.h"
 #include "wsn/neighbor.h"
@@ -142,7 +146,7 @@ TEST(SeqnumTest, WraparoundRollbackDistanceIsSerialNotInteger) {
 // ----------------------------------------------------- neighbor tables
 
 TEST(NeighborTableTest, BootRoundsSeedLinkQuality) {
-  NeighborTable table(0, NeighborConfig{});
+  NeighborTable table(0);
   table.boot_neighbor(1, {true, true, true, true, true});
   table.boot_neighbor(2, {false, false, false, false, false});
   EXPECT_GT(table.quality(1), 0.8);
@@ -155,13 +159,12 @@ TEST(NeighborTableTest, BootRoundsSeedLinkQuality) {
 }
 
 TEST(NeighborTableTest, MissedBeaconsRaiseSuspicionThatABeaconClears) {
-  const NeighborConfig cfg;
-  NeighborTable table(0, cfg);
+  NeighborTable table(0);
   table.boot_neighbor(1, {true, true, true, true, true});
   double t = 0.0;
   // Healthy phase: a beacon arrives every slot, no suspicion.
   for (int slot = 0; slot < 4; ++slot) {
-    t += cfg.beacon_period_s;
+    t += kBeaconPeriodS;
     table.on_beacon(1, t);
     EXPECT_TRUE(table.sweep(t).empty());
   }
@@ -170,18 +173,18 @@ TEST(NeighborTableTest, MissedBeaconsRaiseSuspicionThatABeaconClears) {
   std::vector<NodeId> fresh;
   int silent_slots = 0;
   while (fresh.empty() && silent_slots < 20) {
-    t += cfg.beacon_period_s;
+    t += kBeaconPeriodS;
     fresh = table.sweep(t);
     ++silent_slots;
   }
   ASSERT_EQ(fresh, std::vector<NodeId>{1});
-  EXPECT_EQ(silent_slots, static_cast<int>(cfg.suspect_missed_k));
+  EXPECT_EQ(silent_slots, static_cast<int>(kSuspectMissedK));
   EXPECT_TRUE(table.suspects(1, t));
   EXPECT_FALSE(table.usable(1, t));  // quarantined
   // The quarantine expires into probation: usable again without any
   // positive evidence (so an isolated node keeps trying).
-  EXPECT_FALSE(table.suspects(1, t + cfg.blacklist_base_s + 0.1));
-  EXPECT_TRUE(table.usable(1, t + cfg.blacklist_base_s + 0.1));
+  EXPECT_FALSE(table.suspects(1, t + kBlacklistBaseS + 0.1));
+  EXPECT_TRUE(table.usable(1, t + kBlacklistBaseS + 0.1));
   // Direct evidence of life clears the suspicion — and reports it as
   // having been false.
   EXPECT_TRUE(table.on_beacon(1, t + 1.0));
@@ -189,8 +192,7 @@ TEST(NeighborTableTest, MissedBeaconsRaiseSuspicionThatABeaconClears) {
 }
 
 TEST(NeighborTableTest, ConsecutiveTxFailuresAreAFastSuspicionPath) {
-  const NeighborConfig cfg;
-  NeighborTable table(0, cfg);
+  NeighborTable table(0);
   table.boot_neighbor(1, {true, true, true, true, true});
   EXPECT_FALSE(table.on_tx_failure(1, 10.0));  // 1 of 2
   EXPECT_TRUE(table.on_tx_failure(1, 11.0));   // threshold: fresh suspicion
@@ -202,20 +204,203 @@ TEST(NeighborTableTest, ConsecutiveTxFailuresAreAFastSuspicionPath) {
 }
 
 TEST(NeighborTableTest, ReconfirmedSuspicionBacksOffExponentially) {
-  const NeighborConfig cfg;
-  NeighborTable table(0, cfg);
+  NeighborTable table(0);
   table.boot_neighbor(1, {true, true, true, true, true});
   // First suspicion quarantines for the base interval.
   table.on_tx_failure(1, 0.0);
   EXPECT_TRUE(table.on_tx_failure(1, 1.0));
-  EXPECT_TRUE(table.suspects(1, 1.0 + cfg.blacklist_base_s - 0.1));
-  EXPECT_FALSE(table.suspects(1, 1.0 + cfg.blacklist_base_s + 0.1));
+  EXPECT_TRUE(table.suspects(1, 1.0 + kBlacklistBaseS - 0.1));
+  EXPECT_FALSE(table.suspects(1, 1.0 + kBlacklistBaseS + 0.1));
   // A re-confirmation after the quarantine expired doubles it (silently:
   // no fresh-suspicion report).
-  const double t2 = 1.0 + cfg.blacklist_base_s + 1.0;
+  const double t2 = 1.0 + kBlacklistBaseS + 1.0;
   EXPECT_FALSE(table.on_tx_failure(1, t2));
-  EXPECT_TRUE(table.suspects(1, t2 + 2.0 * cfg.blacklist_base_s - 0.1));
-  EXPECT_FALSE(table.suspects(1, t2 + 2.0 * cfg.blacklist_base_s + 0.1));
+  EXPECT_TRUE(table.suspects(1, t2 + 2.0 * kBlacklistBaseS - 0.1));
+  EXPECT_FALSE(table.suspects(1, t2 + 2.0 * kBlacklistBaseS + 0.1));
+}
+
+// ------------------------------------- neighbor-table reference model
+
+// The suspicion rule restated as plainly as possible from DESIGN.md §5f
+// and the constants in wsn/neighbor.h: a list of slot outcomes instead of
+// a bitmask, and a doubling loop instead of a shift.
+class NeighborModel {
+ public:
+  void boot(NodeId id, const std::vector<bool>& receptions) {
+    Link& link = links_[id];
+    for (const bool heard : receptions) observe_slot(link, heard);
+  }
+
+  bool on_beacon(NodeId id) {
+    Link* link = find(id);
+    if (link == nullptr) return false;
+    link->heard = true;
+    return clear(*link);
+  }
+
+  std::vector<NodeId> sweep(double t) {
+    std::vector<NodeId> fresh;
+    for (auto& [id, link] : links_) {  // ascending ids
+      observe_slot(link, link.heard);
+      link.heard = false;
+      const auto missed =
+          std::count(link.slots.begin(), link.slots.end(), false);
+      if (static_cast<std::size_t>(missed) >= kSuspectMissedK &&
+          suspect(link, t)) {
+        fresh.push_back(id);
+      }
+    }
+    return fresh;
+  }
+
+  bool on_tx_success(NodeId id) {
+    Link* link = find(id);
+    if (link == nullptr) return false;
+    link->quality = ewma(link->quality, 1.0);
+    return clear(*link);
+  }
+
+  bool on_tx_failure(NodeId id, double t) {
+    Link* link = find(id);
+    if (link == nullptr) return false;
+    link->quality = ewma(link->quality, 0.0);
+    return ++link->tx_failures >= kSuspectTxFailures && suspect(*link, t);
+  }
+
+  bool quarantined(NodeId id, double t) const {
+    const auto it = links_.find(id);
+    return it != links_.end() && it->second.suspected && t < it->second.until;
+  }
+  bool usable(NodeId id, double t) const {
+    const auto it = links_.find(id);
+    return it != links_.end() && it->second.quality >= kMinQuality &&
+           !quarantined(id, t);
+  }
+  double quality(NodeId id) const {
+    const auto it = links_.find(id);
+    return it == links_.end() ? 0.0 : it->second.quality;
+  }
+  std::size_t max_streak() const { return max_streak_; }
+
+ private:
+  struct Link {
+    std::deque<bool> slots;  ///< heard per beacon slot, oldest first
+    double quality = 0.5;
+    bool heard = false;  ///< a beacon arrived during the current slot
+    std::size_t tx_failures = 0;
+    bool suspected = false;
+    std::size_t streak = 0;
+    double until = 0.0;
+  };
+
+  Link* find(NodeId id) {
+    const auto it = links_.find(id);
+    return it == links_.end() ? nullptr : &it->second;
+  }
+  static double ewma(double quality, double observed) {
+    return (1.0 - kEwmaAlpha) * quality + kEwmaAlpha * observed;
+  }
+  static void observe_slot(Link& link, bool heard) {
+    link.slots.push_back(heard);
+    if (link.slots.size() > kLivenessWindowN) link.slots.pop_front();
+    link.quality = ewma(link.quality, heard ? 1.0 : 0.0);
+  }
+  // Any evidence of life: forget failures and any suspicion.
+  static bool clear(Link& link) {
+    const bool was_suspected = link.suspected;
+    link.tx_failures = 0;
+    link.suspected = false;
+    link.streak = 0;
+    link.until = 0.0;
+    return was_suspected;
+  }
+  // Negative evidence: a no-op while a quarantine runs; otherwise starts
+  // or re-confirms the suspicion, doubling the quarantine up to the cap.
+  // True only for a fresh suspicion.
+  bool suspect(Link& link, double t) {
+    if (link.suspected && t < link.until) return false;
+    const bool fresh = !link.suspected;
+    link.suspected = true;
+    ++link.streak;
+    max_streak_ = std::max(max_streak_, link.streak);
+    double backoff = kBlacklistBaseS;
+    for (std::size_t i = 1; i < link.streak && backoff < kBlacklistCapS; ++i) {
+      backoff *= 2.0;
+    }
+    link.until = t + std::min(backoff, kBlacklistCapS);
+    return fresh;
+  }
+
+  std::map<NodeId, Link> links_;
+  std::size_t max_streak_ = 0;
+};
+
+TEST(NeighborTableModelTest, RandomOperationsMatchAPlainModel) {
+  // Three neighbors on a good, a marginal and a nearly silent link, plus
+  // an id that was never booted (every operation on it is a no-op).
+  constexpr NodeId kIds[] = {1, 2, 3, 9};
+  constexpr double kHearP[] = {0.9, 0.5, 0.1, 0.5};
+  std::size_t fresh_suspicions = 0;
+  std::size_t clears = 0;
+  std::size_t max_streak = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    util::Rng rng(seed);
+    NeighborTable table(0);
+    NeighborModel model;
+    for (std::size_t n = 0; n < 3; ++n) {
+      std::vector<bool> receptions(kBootRounds);
+      for (std::size_t r = 0; r < kBootRounds; ++r) {
+        receptions[r] = rng.bernoulli(kHearP[n]);
+      }
+      table.boot_neighbor(kIds[n], receptions);
+      model.boot(kIds[n], receptions);
+    }
+    double t = 0.0;
+    for (int step = 0; step < 500; ++step) {
+      const std::size_t n = rng.uniform_int(4);
+      const NodeId id = kIds[n];
+      const double op = rng.uniform();
+      if (op < 0.4) {
+        t += rng.uniform(0.0, 2.0 * kBeaconPeriodS);
+        const std::vector<NodeId> fresh = table.sweep(t);
+        EXPECT_EQ(fresh, model.sweep(t));
+        fresh_suspicions += fresh.size();
+      } else if (op < 0.7) {
+        if (rng.bernoulli(kHearP[n])) {
+          const bool cleared = table.on_beacon(id, t);
+          EXPECT_EQ(cleared, model.on_beacon(id));
+          clears += cleared ? 1 : 0;
+        }
+      } else if (rng.bernoulli(kHearP[n])) {
+        const bool cleared = table.on_tx_success(id, t);
+        EXPECT_EQ(cleared, model.on_tx_success(id));
+        clears += cleared ? 1 : 0;
+      } else {
+        const bool fresh = table.on_tx_failure(id, t);
+        EXPECT_EQ(fresh, model.on_tx_failure(id, t));
+        fresh_suspicions += fresh ? 1 : 0;
+      }
+      // The queries are pure, so probing ahead also pins each quarantine's
+      // length.
+      for (const NodeId v : kIds) {
+        for (const double ahead : {0.0, 10.0, 40.0}) {
+          EXPECT_EQ(table.usable(v, t + ahead), model.usable(v, t + ahead));
+          EXPECT_EQ(table.suspects(v, t + ahead),
+                    model.quarantined(v, t + ahead));
+        }
+        EXPECT_DOUBLE_EQ(table.quality(v), model.quality(v));
+      }
+      if (HasFailure()) {
+        FAIL() << "diverged at seed " << seed << ", step " << step;
+      }
+    }
+    max_streak = std::max(max_streak, model.max_streak());
+  }
+  // The sequences exercised the whole rule: suspicions, clears, and a
+  // backoff that reached its cap.
+  EXPECT_GT(fresh_suspicions, 100u);
+  EXPECT_GT(clears, 100u);
+  EXPECT_GE(max_streak, 5u);  // kBlacklistBaseS * 2^4 > kBlacklistCapS
 }
 
 // ------------------------------------------------- beacons on a network
@@ -300,7 +485,7 @@ TEST(SelfHealingTest, BurstLossCausesOnlyTransientSuspicion) {
   const auto& entries = net.neighbor_table(0).entries();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_LE(entries[0].blacklist_until_s,
-            net.events().now() + cfg.neighbor.blacklist_cap_s);
+            net.events().now() + kBlacklistCapS);
 }
 
 // --------------------------------------------------- reliable transport

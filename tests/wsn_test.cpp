@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -207,36 +208,24 @@ TEST(RadioTest, RejectsBadConfig) {
 // ------------------------------------------------------------ energy
 
 TEST(EnergyTest, AccumulatesByCategory) {
-  EnergyMeter meter{EnergyConfig{}};
+  EnergyMeter meter;
   meter.spend_tx(100);
   meter.spend_rx(100);
   meter.spend_samples(1000);
-  meter.spend_cpu_ms(10.0);
-  meter.spend_idle_s(5.0);
-  meter.spend_sleep_s(100.0);
   EXPECT_NEAR(meter.tx_mj(), 0.60, 1e-9);
   EXPECT_NEAR(meter.rx_mj(), 0.67, 1e-9);
   EXPECT_NEAR(meter.sensing_mj(), 5.0, 1e-9);
-  EXPECT_NEAR(meter.cpu_mj(), 0.3, 1e-9);
-  EXPECT_NEAR(meter.idle_mj(), 1.5, 1e-9);
-  EXPECT_NEAR(meter.sleep_mj(), 0.6, 1e-9);
-  EXPECT_NEAR(meter.spent_mj(),
-              0.60 + 0.67 + 5.0 + 0.3 + 1.5 + 0.6, 1e-9);
+  EXPECT_NEAR(meter.spent_mj(), 0.60 + 0.67 + 5.0, 1e-9);
+  EXPECT_NEAR(meter.remaining_mj(), kDefaultBatteryMj - 6.27, 1e-9);
 }
 
 TEST(EnergyTest, DepletionDetected) {
-  EnergyConfig cfg;
-  cfg.battery_mj = 1.0;
-  EnergyMeter meter(cfg);
+  EnergyMeter meter(1.0);
   EXPECT_FALSE(meter.depleted());
-  meter.spend_cpu_ms(100.0);  // 3 mJ
+  meter.spend_samples(1000);  // 5 mJ
   EXPECT_TRUE(meter.depleted());
   EXPECT_EQ(meter.remaining_mj(), 0.0);
-}
-
-TEST(EnergyTest, SleepIsCheaperThanIdle) {
-  const EnergyConfig cfg;
-  EXPECT_LT(cfg.sleep_per_s_mj, cfg.idle_per_s_mj);
+  EXPECT_THROW(EnergyMeter{0.0}, util::InvalidArgument);
 }
 
 // ------------------------------------------------------------ network
@@ -438,6 +427,42 @@ TEST(NetworkTest, SinkNodeOutOfGridThrows) {
   EXPECT_THROW(Network net(cfg), util::InvalidArgument);
 }
 
+// Every FaultPlan list names nodes, and an entry naming no deployed node
+// would silently do nothing, so the constructor rejects it by name.
+TEST(NetworkTest, FaultPlanIdsOutsideGridThrow) {
+  struct Case {
+    const char* list;
+    std::function<void(FaultPlan&)> add;
+  };
+  const Case cases[] = {
+      {"crashes", [](FaultPlan& p) { p.crashes.push_back({1000, 5.0}); }},
+      {"battery_overrides",
+       [](FaultPlan& p) { p.battery_overrides.push_back({2000, 1.0}); }},
+      {"link_bursts.a",
+       [](FaultPlan& p) { p.link_bursts.push_back({3000, 1, {}}); }},
+      {"link_bursts.b",
+       [](FaultPlan& p) { p.link_bursts.push_back({1, 3001, {}}); }},
+      {"sensor_faults", [](FaultPlan& p) { p.sensor_faults.push_back({16}); }},
+      {"acoustic_faults",
+       [](FaultPlan& p) { p.acoustic_faults.push_back({16}); }},
+  };
+  for (const Case& c : cases) {
+    NetworkConfig cfg;
+    cfg.rows = 4;
+    cfg.cols = 4;
+    c.add(cfg.faults);
+    try {
+      Network net(cfg);
+      ADD_FAILURE() << c.list << ": out-of-grid id accepted";
+    } catch (const util::InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("FaultPlan: ", 0), 0u) << c.list << ": " << what;
+      EXPECT_NE(what.find("out of grid"), std::string::npos)
+          << c.list << ": " << what;
+    }
+  }
+}
+
 // The windowed engine is the only engine (DESIGN.md §5l): at least one
 // shard and a positive lookahead are constructor preconditions, rejected
 // with a message instead of aborting mid-run.
@@ -449,16 +474,6 @@ TEST(NetworkTest, ZeroShardsThrows) {
   NetworkConfig cfg = small_grid();
   cfg.shards = 0;
   EXPECT_THROW(Network net(cfg), util::InvalidArgument);
-}
-
-TEST(NetworkTest, EwmaWeightOutsideUnitIntervalThrows) {
-  // Link quality must stay in [0, 1] so every ETX is at least 1, which
-  // the route search's lower bound relies on.
-  for (const double alpha : {-0.1, 1.5}) {
-    NetworkConfig cfg = small_grid();
-    cfg.neighbor.ewma_alpha = alpha;
-    EXPECT_THROW(Network net(cfg), util::InvalidArgument) << alpha;
-  }
 }
 
 TEST(NetworkTest, ZeroHopDelayFloorThrows) {
