@@ -1,6 +1,11 @@
 // google-benchmark throughput of the detection stack: streaming node
 // detector, correlation evaluation, speed inversion and wave-field
 // synthesis (the simulation bottleneck).
+//
+// Every benchmark whose calls record a profile stage runs a pinned
+// Iterations() count, so the stage invocation counts in the --json-out
+// dump are the same on every host (scripts/bench_compare.py gates them);
+// google-benchmark would otherwise size the counts by wall time.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -38,7 +43,7 @@ void BM_NodeDetectorStream(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_NodeDetectorStream)->Arg(12000)->Arg(60000);
+BENCHMARK(BM_NodeDetectorStream)->Arg(12000)->Arg(60000)->Iterations(2);
 
 void BM_CorrelationEvaluate(benchmark::State& state) {
   util::Rng rng(5);
@@ -62,7 +67,8 @@ void BM_CorrelationEvaluate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(reports.size()));
 }
-BENCHMARK(BM_CorrelationEvaluate)->Arg(4)->Arg(6)->Arg(20);
+BENCHMARK(BM_CorrelationEvaluate)->Arg(4)->Arg(6)->Arg(20)
+    ->Iterations(4000);
 
 void BM_SpeedInversion(benchmark::State& state) {
   core::SpeedQuad quad;
@@ -117,7 +123,7 @@ void BM_ScenarioFrontEnd(benchmark::State& state) {
                           static_cast<std::int64_t>(net.node_count()));
 }
 BENCHMARK(BM_ScenarioFrontEnd)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -17,9 +17,16 @@
 // --csv); `detect` runs the paper's node-level detector over any trace
 // file (including converted real recordings); `scenario` runs the whole
 // distributed pipeline and prints the sink log.
+//
+// Count flags (--rows, --cols, --seed, --threads, --shards) take plain
+// decimal integers within the limits the usage text states; anything else
+// is an error (exit 2).
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -55,7 +62,33 @@ struct Args {
     auto it = options.find(name);
     return it == options.end() ? fallback : std::stod(it->second);
   }
+  /// An integer flag in [min, max]. Only plain decimal digits parse, so a
+  /// negative, fractional, non-numeric or too-large value throws before
+  /// anything is sized from it.
+  std::uint64_t count(const std::string& name, std::uint64_t fallback,
+                      std::uint64_t min, std::uint64_t max) const {
+    auto it = options.find(name);
+    if (it == options.end()) return fallback;
+    const std::string& text = it->second;
+    const char* end = text.data() + text.size();
+    std::uint64_t value = 0;
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc{} || stop != end || value < min || value > max) {
+      throw util::InvalidArgument("--" + name + " must be an integer in [" +
+                                  std::to_string(min) + ", " +
+                                  std::to_string(max) + "], got '" + text +
+                                  "'");
+    }
+    return value;
+  }
 };
+
+// Limits of the count flags. Each thread or shard costs an OS thread or a
+// shard's state, and a grid side beyond 1000 is a million-buoy field.
+constexpr std::uint64_t kMaxGridSide = 1000;
+constexpr std::uint64_t kMaxThreads = 256;
+constexpr std::uint64_t kMaxShards = 256;
+constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
 
 Args parse(int argc, char** argv) {
   Args args;
@@ -89,7 +122,7 @@ int cmd_simulate(const Args& args) {
   const double cpa = args.num("cpa", 25.0);
   const double duration = args.num("duration", 240.0);
   const auto sea = parse_sea(args.str("sea", "calm"));
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 1.0));
+  const std::uint64_t seed = args.count("seed", 1, 0, kMaxSeed);
 
   const auto spectrum = ocean::make_sea_spectrum(sea);
   ocean::WaveFieldConfig field_cfg;
@@ -169,20 +202,19 @@ int cmd_detect(const Args& args) {
 
 int cmd_scenario(const Args& args) {
   core::SidSystemConfig cfg;
-  cfg.network.rows = static_cast<std::size_t>(args.num("rows", 6.0));
-  cfg.network.cols = static_cast<std::size_t>(args.num("cols", 6.0));
-  cfg.scenario.seed = static_cast<std::uint64_t>(args.num("seed", 1.0));
+  cfg.network.rows = args.count("rows", 6, 1, kMaxGridSide);
+  cfg.network.cols = args.count("cols", 6, 1, kMaxGridSide);
+  cfg.scenario.seed = args.count("seed", 1, 0, kMaxSeed);
   cfg.scenario.trace.duration_s = args.num("duration", 300.0);
   cfg.scenario.detector.threshold_multiplier_m = args.num("m", 2.0);
   cfg.scenario.detector.anomaly_frequency_threshold = args.num("af", 0.5);
   // Worker threads for the synthesis/detection front end. Results are
   // bit-identical at any count (core/scenario.h), so this is purely a
   // wall-clock knob.
-  cfg.scenario.threads = static_cast<std::size_t>(args.num("threads", 1.0));
-  // Spatial shards for the network's beacon plane (K >= 1; the network
-  // rejects 0 with a message). Runs are bit-identical for every K (CI
-  // byte-compares --shards 1 vs 4, like --threads above).
-  cfg.network.shards = static_cast<std::size_t>(args.num("shards", 1.0));
+  cfg.scenario.threads = args.count("threads", 1, 0, kMaxThreads);
+  // Spatial shards for the network's beacon plane. Runs are bit-identical
+  // for every K (CI byte-compares --shards 1 vs 4, like --threads above).
+  cfg.network.shards = args.count("shards", 1, 1, kMaxShards);
 
   const double knots = args.num("ship-knots", 10.0);
   const double heading = args.num("heading", 88.0);
@@ -300,6 +332,8 @@ int main(int argc, char** argv) {
                "[--metrics-out FILE] "
                "[--trace-out FILE] [--trace-categories LIST] "
                "[--telemetry-out FILE] [--telemetry-interval S] "
-               "[--flightrec-out FILE]\n");
+               "[--flightrec-out FILE]\n"
+               "  integers only: R, C in 1..1000, T in 0..256, K in 1..256, "
+               "seed N in 0..2^64-1\n");
   return 2;
 }

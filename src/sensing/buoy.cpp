@@ -18,39 +18,36 @@ Buoy::Buoy(const BuoyConfig& config) : config_(config), rng_(config.seed) {
                 "Buoy: tilt time constant must be positive");
 }
 
-namespace {
+Buoy::OuStep::OuStep(double dt, double tau, double sigma)
+    : decay(std::exp(-dt / tau)),
+      noise_sd(sigma * std::sqrt(1.0 - decay * decay)) {}
 
-/// One exact Ornstein–Uhlenbeck step with stationary stddev `sigma` and
-/// time constant `tau`.
-double ou_step(double x, double dt, double tau, double sigma,
-               util::Rng& rng) {
-  const double decay = std::exp(-dt / tau);
-  const double noise_sd = sigma * std::sqrt(1.0 - decay * decay);
+double Buoy::OuStep::operator()(double x, util::Rng& rng) const {
   return x * decay + rng.normal(0.0, noise_sd);
 }
 
-}  // namespace
-
 void Buoy::step(double dt) {
   util::require(dt > 0.0, "Buoy::step: dt must be positive");
-  if (config_.drift_radius_m > 0.0) {
+  if (dt != step_dt_) {
     // Stationary per-axis sd at half the radius keeps the walk inside the
-    // mooring circle almost always; clamp as a hard guarantee.
-    const double sigma = config_.drift_radius_m / 2.0;
-    drift_.x = ou_step(drift_.x, dt, config_.drift_time_constant_s, sigma,
-                       rng_);
-    drift_.y = ou_step(drift_.y, dt, config_.drift_time_constant_s, sigma,
-                       rng_);
+    // mooring circle almost always; the clamp below is the hard guarantee.
+    drift_step_ = OuStep(dt, config_.drift_time_constant_s,
+                         config_.drift_radius_m / 2.0);
+    tilt_step_ =
+        OuStep(dt, config_.tilt_time_constant_s, config_.tilt_stddev_rad);
+    step_dt_ = dt;
+  }
+  if (config_.drift_radius_m > 0.0) {
+    drift_.x = drift_step_(drift_.x, rng_);
+    drift_.y = drift_step_(drift_.y, rng_);
     const double r = drift_.norm();
     if (r > config_.drift_radius_m) {
       drift_ = drift_ * (config_.drift_radius_m / r);
     }
   }
   if (config_.tilt_stddev_rad > 0.0) {
-    roll_ = ou_step(roll_, dt, config_.tilt_time_constant_s,
-                    config_.tilt_stddev_rad, rng_);
-    pitch_ = ou_step(pitch_, dt, config_.tilt_time_constant_s,
-                     config_.tilt_stddev_rad, rng_);
+    roll_ = tilt_step_(roll_, rng_);
+    pitch_ = tilt_step_(pitch_, rng_);
   }
 }
 

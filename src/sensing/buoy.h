@@ -52,11 +52,26 @@ class Buoy {
   const BuoyConfig& config() const { return config_; }
 
  private:
+  /// One exact Ornstein–Uhlenbeck step of a fixed dt, for stationary
+  /// stddev sigma and time constant tau: x' = x * decay + N(0, noise_sd).
+  struct OuStep {
+    double decay = 1.0;
+    double noise_sd = 0.0;
+    OuStep() = default;
+    OuStep(double dt, double tau, double sigma);
+    double operator()(double x, util::Rng& rng) const;
+  };
+
   BuoyConfig config_;
   util::Rng rng_;
   util::Vec2 drift_;
   double roll_ = 0.0;
   double pitch_ = 0.0;
+  /// The dt the steps below were built for (0 before the first step):
+  /// traces step at one fixed dt, so the exp/sqrt run once per buoy.
+  double step_dt_ = 0.0;
+  OuStep drift_step_;
+  OuStep tilt_step_;
 };
 
 }  // namespace sid::sense
