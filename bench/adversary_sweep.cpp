@@ -83,11 +83,11 @@ core::SidSystemConfig base_config(const SweepSettings& s,
   return cfg;
 }
 
-/// Static cluster heads of the grid (cell centres for the default
-/// static_cell_size = 3) — the aggregation identities worth impersonating.
+/// Static cluster heads of the grid (centres of the core::kStaticCellSize
+/// cells) — the aggregation identities worth impersonating.
 std::vector<wsn::NodeId> static_heads(const core::SidSystemConfig& cfg) {
   std::vector<wsn::NodeId> heads;
-  const std::size_t cell = cfg.static_cell_size;
+  const std::size_t cell = core::kStaticCellSize;
   for (std::size_t r = 0; r < cfg.network.rows; r += cell) {
     for (std::size_t c = 0; c < cfg.network.cols; c += cell) {
       const std::size_t hr =

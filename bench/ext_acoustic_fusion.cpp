@@ -3,7 +3,9 @@
 // (which records the fusion stage itself). Shares the perf_* harness
 // (bench_json_main.h): --smoke dumps the per-stage wall-time histograms
 // as schema-stable BENCH_acoustic_fusion.json (validated in CI by
-// scripts/check_obs_schema.py, trended against bench/baselines/).
+// scripts/check_obs_schema.py, trended against bench/baselines/). Both
+// benchmarks record a stage, so both pin Iterations(): the dump's
+// invocation counts are then the same on every host.
 //
 // The scientific accuracy sweep for this extension lives in
 // bench/fusion_ablation.cpp; this binary only tracks its cost.
@@ -42,7 +44,7 @@ void BM_HydrophoneContactSweep(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_HydrophoneContactSweep)->Arg(300)->Arg(1800);
+BENCHMARK(BM_HydrophoneContactSweep)->Arg(300)->Arg(1800)->Iterations(100);
 
 void BM_MultiModalStreamingIngest(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -64,7 +66,7 @@ void BM_MultiModalStreamingIngest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_MultiModalStreamingIngest)->Arg(256)->Arg(4096);
+BENCHMARK(BM_MultiModalStreamingIngest)->Arg(256)->Arg(4096)->Iterations(20);
 
 }  // namespace
 

@@ -71,7 +71,8 @@ int main() {
       }
       const auto quad = core::select_speed_quad(reports);
       if (!quad) continue;
-      const auto est = core::estimate_speed_either_pairing(*quad);
+      const auto est =
+          core::estimate_speed_either_pairing(*quad, net_cfg.spacing_m);
       if (!est) continue;
       ++used;
       estimates.add(est->speed_knots);

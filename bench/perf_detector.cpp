@@ -77,7 +77,8 @@ void BM_SpeedInversion(benchmark::State& state) {
   quad.t3 = 99.1;
   quad.t4 = 104.4;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::estimate_speed_either_pairing(quad));
+    benchmark::DoNotOptimize(
+        core::estimate_speed_either_pairing(quad, /*node_spacing_m=*/25.0));
   }
 }
 BENCHMARK(BM_SpeedInversion);

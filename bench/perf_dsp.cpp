@@ -1,5 +1,12 @@
 // google-benchmark throughput of the DSP primitives: the on-node budget
 // matters (iMote2-class hardware), so the kernels must be cheap.
+//
+// Every benchmark whose calls record a profile stage (filter, stft,
+// wavelet) runs a pinned Iterations() count, so the stage invocation
+// counts in the --json-out dump are the same on every host
+// (scripts/bench_compare.py gates them); google-benchmark would otherwise
+// size the counts by wall time. The FFT, Welch and power-spectrum
+// benches record no stage and keep google-benchmark's own sizing.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -77,7 +84,7 @@ void BM_Stft(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Stft)->Arg(8192)->Arg(32768);
+BENCHMARK(BM_Stft)->Arg(8192)->Arg(32768)->Iterations(20);
 
 void BM_MorletCwt(benchmark::State& state) {
   const auto signal = random_signal(static_cast<std::size_t>(state.range(0)));
@@ -88,7 +95,7 @@ void BM_MorletCwt(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_MorletCwt)->Arg(2048)->Arg(8192);
+BENCHMARK(BM_MorletCwt)->Arg(2048)->Arg(8192)->Iterations(2);
 
 void BM_CausalButterworth(benchmark::State& state) {
   const auto signal = random_signal(static_cast<std::size_t>(state.range(0)));
@@ -100,7 +107,7 @@ void BM_CausalButterworth(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_CausalButterworth)->Arg(12000);
+BENCHMARK(BM_CausalButterworth)->Arg(12000)->Iterations(200);
 
 void BM_FiltFilt(benchmark::State& state) {
   const auto signal = random_signal(static_cast<std::size_t>(state.range(0)));
@@ -110,7 +117,7 @@ void BM_FiltFilt(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_FiltFilt)->Arg(12000);
+BENCHMARK(BM_FiltFilt)->Arg(12000)->Iterations(50);
 
 void BM_FirFilter(benchmark::State& state) {
   const auto signal = random_signal(static_cast<std::size_t>(state.range(0)));
@@ -120,7 +127,7 @@ void BM_FirFilter(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_FirFilter)->Arg(12000);
+BENCHMARK(BM_FirFilter)->Arg(12000)->Iterations(10);
 
 }  // namespace
 

@@ -7,6 +7,7 @@
 //   sid_cli detect --in trace.sidb [--m 2.0] [--af 0.5]
 //   sid_cli scenario [--ship-knots 10] [--heading 88] [--rows 6]
 //                    [--cols 6] [--seed 1] [--threads 1] [--shards 1]
+//                    [--duration 300] [--m 2.0] [--af 0.5]
 //                    [--metrics-out metrics.json]
 //                    [--trace-out trace.jsonl] [--trace-categories net,sink]
 //                    [--telemetry-out telemetry.jsonl]
@@ -19,8 +20,14 @@
 // distributed pipeline and prints the sink log.
 //
 // Count flags (--rows, --cols, --seed, --threads, --shards) take plain
-// decimal integers within the limits the usage text states; anything else
-// is an error (exit 2).
+// decimal integers within the limits the usage text states. Real-valued
+// flags take finite decimal numbers in closed ranges:
+//   --ship-knots 0..60 (0 = no ship)   --cpa 0..1000 m
+//   --duration 1..3600 s               --heading 10..170 deg
+//   --m 0.1..10                        --af 0.01..1
+//   --telemetry-interval 0.1..3600 s
+// Anything else (including nan and inf) is an error (exit 2), reported
+// before any trace or field is built.
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
@@ -58,9 +65,24 @@ struct Args {
     auto it = options.find(name);
     return it == options.end() ? fallback : it->second;
   }
-  double num(const std::string& name, double fallback) const {
+  /// A real-valued flag in [lo, hi]. The whole value must parse as a
+  /// decimal number, and NaN and infinities fail the finite closed range,
+  /// so a bad value throws before anything is sized from it.
+  double real(const std::string& name, double fallback, double lo,
+              double hi) const {
     auto it = options.find(name);
-    return it == options.end() ? fallback : std::stod(it->second);
+    if (it == options.end()) return fallback;
+    const std::string& text = it->second;
+    const char* end = text.data() + text.size();
+    double value = 0.0;
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc{} || stop != end || !(lo <= value && value <= hi)) {
+      char range[64];
+      std::snprintf(range, sizeof range, "[%g, %g]", lo, hi);
+      throw util::InvalidArgument("--" + name + " must be a number in " +
+                                  range + ", got '" + text + "'");
+    }
+    return value;
   }
   /// An integer flag in [min, max]. Only plain decimal digits parse, so a
   /// negative, fractional, non-numeric or too-large value throws before
@@ -90,6 +112,21 @@ constexpr std::uint64_t kMaxThreads = 256;
 constexpr std::uint64_t kMaxShards = 256;
 constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
 
+// Ranges of the real-valued flags. A duration sizes every trace (50 Hz per
+// axis per node), the heading must carry the ship across the field from
+// the south, and a telemetry tick is one scheduled event.
+constexpr double kMaxShipKnots = 60.0;
+constexpr double kMaxCpaM = 1000.0;
+constexpr double kMinDurationS = 1.0;
+constexpr double kMaxDurationS = 3600.0;
+constexpr double kMinHeadingDeg = 10.0;
+constexpr double kMaxHeadingDeg = 170.0;
+constexpr double kMinM = 0.1;
+constexpr double kMaxM = 10.0;
+constexpr double kMinAf = 0.01;
+constexpr double kMinTelemetryIntervalS = 0.1;
+constexpr double kMaxTelemetryIntervalS = 3600.0;
+
 Args parse(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
@@ -118,9 +155,10 @@ ocean::SeaState parse_sea(const std::string& name) {
 
 int cmd_simulate(const Args& args) {
   const std::string out = args.str("out", "trace.sidb");
-  const double knots = args.num("ship-knots", 10.0);
-  const double cpa = args.num("cpa", 25.0);
-  const double duration = args.num("duration", 240.0);
+  const double knots = args.real("ship-knots", 10.0, 0.0, kMaxShipKnots);
+  const double cpa = args.real("cpa", 25.0, 0.0, kMaxCpaM);
+  const double duration =
+      args.real("duration", 240.0, kMinDurationS, kMaxDurationS);
   const auto sea = parse_sea(args.str("sea", "calm"));
   const std::uint64_t seed = args.count("seed", 1, 0, kMaxSeed);
 
@@ -161,6 +199,8 @@ int cmd_simulate(const Args& args) {
 }
 
 int cmd_detect(const Args& args) {
+  const double m = args.real("m", 2.0, kMinM, kMaxM);
+  const double af = args.real("af", 0.5, kMinAf, 1.0);
   const std::string in = args.str("in", "trace.sidb");
   const auto trace = in.size() > 4 && in.substr(in.size() - 4) == ".csv"
                          ? sense::read_trace_csv(in)
@@ -170,8 +210,8 @@ int cmd_detect(const Args& args) {
 
   core::NodeDetectorConfig cfg;
   cfg.sample_rate_hz = trace.sample_rate_hz;
-  cfg.threshold_multiplier_m = args.num("m", 2.0);
-  cfg.anomaly_frequency_threshold = args.num("af", 0.5);
+  cfg.threshold_multiplier_m = m;
+  cfg.anomaly_frequency_threshold = af;
   core::NodeDetector detector(cfg);
   const auto alarms = detector.process_trace(trace);
   if (alarms.empty()) {
@@ -205,9 +245,12 @@ int cmd_scenario(const Args& args) {
   cfg.network.rows = args.count("rows", 6, 1, kMaxGridSide);
   cfg.network.cols = args.count("cols", 6, 1, kMaxGridSide);
   cfg.scenario.seed = args.count("seed", 1, 0, kMaxSeed);
-  cfg.scenario.trace.duration_s = args.num("duration", 300.0);
-  cfg.scenario.detector.threshold_multiplier_m = args.num("m", 2.0);
-  cfg.scenario.detector.anomaly_frequency_threshold = args.num("af", 0.5);
+  cfg.scenario.trace.duration_s =
+      args.real("duration", 300.0, kMinDurationS, kMaxDurationS);
+  cfg.scenario.detector.threshold_multiplier_m =
+      args.real("m", 2.0, kMinM, kMaxM);
+  cfg.scenario.detector.anomaly_frequency_threshold =
+      args.real("af", 0.5, kMinAf, 1.0);
   // Worker threads for the synthesis/detection front end. Results are
   // bit-identical at any count (core/scenario.h), so this is purely a
   // wall-clock knob.
@@ -216,8 +259,13 @@ int cmd_scenario(const Args& args) {
   // for every K (CI byte-compares --shards 1 vs 4, like --threads above).
   cfg.network.shards = args.count("shards", 1, 1, kMaxShards);
 
-  const double knots = args.num("ship-knots", 10.0);
-  const double heading = args.num("heading", 88.0);
+  const double knots = args.real("ship-knots", 10.0, 0.0, kMaxShipKnots);
+  const double heading =
+      args.real("heading", 88.0, kMinHeadingDeg, kMaxHeadingDeg);
+  obs::TelemetryConfig telemetry_cfg;
+  telemetry_cfg.interval_s =
+      args.real("telemetry-interval", 5.0, kMinTelemetryIntervalS,
+                kMaxTelemetryIntervalS);
   std::vector<wake::ShipTrackConfig> ships;
   if (knots > 0.0) {
     const double phi = util::deg_to_rad(heading);
@@ -238,11 +286,7 @@ int cmd_scenario(const Args& args) {
         obs::parse_category_list(args.str("trace-categories", "all")));
   }
   const std::string telemetry_out = args.str("telemetry-out", "");
-  if (!telemetry_out.empty()) {
-    obs::TelemetryConfig telemetry_cfg;
-    telemetry_cfg.interval_s = args.num("telemetry-interval", 5.0);
-    system.enable_telemetry(telemetry_cfg);
-  }
+  if (!telemetry_out.empty()) system.enable_telemetry(telemetry_cfg);
   const std::string flightrec_out = args.str("flightrec-out", "");
   if (!flightrec_out.empty()) {
     // Arm crash dumping too: on SID_CHECK failure the recorder writes the
@@ -323,17 +367,21 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr,
                "usage: sid_cli simulate|detect|scenario [options]\n"
-               "  simulate --out FILE [--ship-knots N] [--cpa M] "
+               "  simulate --out FILE [--ship-knots KN] [--cpa M] "
                "[--duration S] [--sea calm|moderate|rough] [--seed N] "
                "[--csv]\n"
                "  detect   --in FILE [--m M] [--af F]\n"
-               "  scenario [--ship-knots N] [--heading DEG] [--rows R] "
+               "  scenario [--ship-knots KN] [--heading DEG] [--rows R] "
                "[--cols C] [--seed N] [--threads T] [--shards K] "
+               "[--duration S] [--m M] [--af F] "
                "[--metrics-out FILE] "
                "[--trace-out FILE] [--trace-categories LIST] "
                "[--telemetry-out FILE] [--telemetry-interval S] "
                "[--flightrec-out FILE]\n"
                "  integers only: R, C in 1..1000, T in 0..256, K in 1..256, "
-               "seed N in 0..2^64-1\n");
+               "seed N in 0..2^64-1\n"
+               "  finite numbers: KN in 0..60 (0 = no ship), --cpa in "
+               "0..1000, --duration in 1..3600, DEG in 10..170, M in "
+               "0.1..10, F in 0.01..1, --telemetry-interval in 0.1..3600\n");
   return 2;
 }

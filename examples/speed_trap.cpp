@@ -34,7 +34,8 @@ void analytic_reference(double speed_knots, double heading_deg) {
   quad.t2 = track.wake_arrival_time({0.0, 25.0});
   quad.t3 = track.wake_arrival_time({25.0, 0.0});
   quad.t4 = track.wake_arrival_time({25.0, 25.0});
-  const auto est = core::estimate_speed_either_pairing(quad);
+  const auto est =
+      core::estimate_speed_either_pairing(quad, /*node_spacing_m=*/25.0);
   if (est) {
     std::printf("  analytic timestamps: %.2f kn (error %+.1f %%)\n",
                 est->speed_knots,
@@ -83,7 +84,8 @@ void full_pipeline(double speed_knots, double heading_deg,
     std::printf("  full pipeline:       no complete 2x2 block detected\n");
     return;
   }
-  const auto est = core::estimate_speed_either_pairing(*quad);
+  const auto est =
+      core::estimate_speed_either_pairing(*quad, net_cfg.spacing_m);
   if (!est) {
     std::printf("  full pipeline:       inversion rejected the quad\n");
     return;

@@ -8,10 +8,10 @@ the default tolerance is deliberately loose (5x): the gate catches
 order-of-magnitude regressions — an accidentally quadratic loop, a lock
 on the hot path — not single-digit-percent noise. Invocation *counts* get
 a much tighter relative tolerance of their own. They repeat exactly only
-where the bench pins its iteration count (perf_detector pins
-Iterations() on every benchmark that records a stage); wherever
-google-benchmark sizes the iteration count by wall time, the counts
-follow the host's speed too.
+where the bench pins its iteration count (perf_detector, perf_dsp and
+ext_acoustic_fusion pin Iterations() on every benchmark that records a
+stage); wherever google-benchmark sizes the iteration count by wall time
+(fleet_sweep), the counts follow the host's speed too.
 
 Counters and gauges are reported informationally (they change whenever
 the protocol legitimately changes); pass --check-counters to gate on them

@@ -17,8 +17,6 @@ Hydrophone::Hydrophone(util::Vec2 position, const HydrophoneConfig& config)
     : position_(position), config_(config), rng_(config.seed) {
   util::require(config.integration_period_s > 0.0,
                 "Hydrophone: integration period must be positive");
-  util::require(config.roc_sigma_db > 0.0,
-                "Hydrophone: ROC sigma must be positive");
   util::require(config.false_alarm_rate_per_hour >= 0.0,
                 "Hydrophone: false alarm rate must be non-negative");
 }
@@ -44,8 +42,7 @@ std::vector<AcousticContact> Hydrophone::run(
           config_.sonar.snr_db(ship.speed_mps(), range, state));
     }
     if (!ships.empty() && best_snr > -1e8) {
-      const double p = phi((best_snr - config_.detection_threshold_db) /
-                           config_.roc_sigma_db);
+      const double p = phi((best_snr - kDetectionThresholdDb) / kRocSigmaDb);
       if (rng_.bernoulli(p)) {
         contacts.push_back(AcousticContact{t, best_snr, false});
         continue;  // a real contact supersedes clutter this look
@@ -53,7 +50,7 @@ std::vector<AcousticContact> Hydrophone::run(
     }
     if (pfa_per_look > 0.0 && rng_.bernoulli(pfa_per_look)) {
       contacts.push_back(AcousticContact{
-          t, config_.detection_threshold_db + rng_.exponential(0.5), true});
+          t, kDetectionThresholdDb + rng_.exponential(0.5), true});
     }
   }
   return contacts;

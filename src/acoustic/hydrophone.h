@@ -18,13 +18,16 @@
 
 namespace sid::acoustic {
 
+/// Detection threshold DT (dB): SNR at which a single look detects with
+/// probability 0.5.
+inline constexpr double kDetectionThresholdDb = 6.0;
+/// ROC steepness: sigma of the Gaussian detection index, dB.
+inline constexpr double kRocSigmaDb = 4.0;
+
+static_assert(kRocSigmaDb > 0.0, "the ROC sigma must be positive");
+
 struct HydrophoneConfig {
   SonarEquation sonar;
-  /// Detection threshold DT (dB): SNR at which a single look detects with
-  /// probability 0.5.
-  double detection_threshold_db = 6.0;
-  /// ROC steepness: sigma of the Gaussian detection index, dB.
-  double roc_sigma_db = 4.0;
   /// One detection "look" per this period (energy integration window).
   double integration_period_s = 2.0;
   /// Clutter false alarms, events per hour.
@@ -50,7 +53,6 @@ class Hydrophone {
       ocean::SeaState state);
 
   util::Vec2 position() const { return position_; }
-  const HydrophoneConfig& config() const { return config_; }
 
  private:
   util::Vec2 position_;

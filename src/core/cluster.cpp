@@ -8,12 +8,15 @@
 
 namespace sid::core {
 
-ClusterEvaluator::ClusterEvaluator(const ClusterConfig& config)
-    : config_(config) {
+ClusterEvaluator::ClusterEvaluator(const ClusterConfig& config,
+                                   double node_spacing_m)
+    : config_(config), node_spacing_m_(node_spacing_m) {
   util::require(config.collection_window_s > 0.0,
                 "ClusterEvaluator: collection window must be positive");
   util::require(config.correlation_threshold >= 0.0,
                 "ClusterEvaluator: threshold must be non-negative");
+  util::require(node_spacing_m > 0.0,
+                "ClusterEvaluator: spacing must be positive");
 }
 
 ClusterDecisionResult ClusterEvaluator::evaluate(
@@ -72,7 +75,7 @@ ClusterDecisionResult ClusterEvaluator::evaluate(
 
   if (result.intrusion) {
     if (const auto quad = select_speed_quad(reports)) {
-      result.speed = estimate_speed_either_pairing(*quad, config_.speed);
+      result.speed = estimate_speed_either_pairing(*quad, node_spacing_m_);
     }
   }
   return result;

@@ -22,9 +22,10 @@
 
 namespace sid::core {
 
+/// Flood radius of the invite, hops (paper: "within six steps").
+inline constexpr std::size_t kInviteHops = 6;
+
 struct ClusterConfig {
-  /// Flood radius of the invite, hops (paper: "within six steps").
-  std::size_t invite_hops = 6;
   /// Report collection window after initiation (seconds).
   double collection_window_s = 70.0;
   /// Cancel the cluster when fewer reports than this arrive ("if the
@@ -42,7 +43,6 @@ struct ClusterConfig {
   double min_sweep_consistency = 0.4;
 
   CorrelationConfig correlation;
-  SpeedEstimatorConfig speed;
   /// When set, correlation uses this known travel line (oracle mode for
   /// Table I/II style evaluation); otherwise the head estimates the line
   /// from the reports (deployed mode).
@@ -61,17 +61,18 @@ struct ClusterDecisionResult {
 
 class ClusterEvaluator {
  public:
-  explicit ClusterEvaluator(const ClusterConfig& config = {});
+  /// `node_spacing_m` is the deployment's grid spacing D, which the speed
+  /// inversion scales by (SidSystem passes NetworkConfig::spacing_m).
+  ClusterEvaluator(const ClusterConfig& config, double node_spacing_m);
 
   /// Evaluates a collected report set (the head's own report included by
   /// the caller).
   ClusterDecisionResult evaluate(
       std::span<const wsn::DetectionReport> reports) const;
 
-  const ClusterConfig& config() const { return config_; }
-
  private:
   ClusterConfig config_;
+  double node_spacing_m_;
 };
 
 }  // namespace sid::core

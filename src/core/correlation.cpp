@@ -14,12 +14,11 @@ namespace {
 
 /// Crt / Cre kernel: fraction of the row's reports in the largest subset
 /// whose `values` are non-decreasing once the row is sorted by distance.
-/// Reports within `tie_tolerance` of each other in distance form a tie
-/// group: the expected ordering says nothing about their mutual order, so
-/// the group is internally sorted by value (it can never break the
-/// subsequence).
-double ordered_fraction(std::vector<std::pair<double, double>>& dist_value,
-                        double tie_tolerance) {
+/// Reports within kDistanceTieToleranceM of each other in distance form a
+/// tie group: the expected ordering says nothing about their mutual
+/// order, so the group is internally sorted by value (it can never break
+/// the subsequence).
+double ordered_fraction(std::vector<std::pair<double, double>>& dist_value) {
   if (dist_value.size() <= 1) return 1.0;  // paper: 1 for a single report
   std::sort(dist_value.begin(), dist_value.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -29,7 +28,8 @@ double ordered_fraction(std::vector<std::pair<double, double>>& dist_value,
   for (std::size_t i = 1; i <= dist_value.size(); ++i) {
     const bool boundary =
         i == dist_value.size() ||
-        dist_value[i].first - dist_value[group_start].first > tie_tolerance;
+        dist_value[i].first - dist_value[group_start].first >
+            kDistanceTieToleranceM;
     if (!boundary) continue;
     std::sort(dist_value.begin() + static_cast<std::ptrdiff_t>(group_start),
               dist_value.begin() + static_cast<std::ptrdiff_t>(i),
@@ -87,7 +87,7 @@ CorrelationResult compute_correlation(
       dist_time.emplace_back(travel_line.distance_to(r->position),
                              r->onset_local_time_s);
     }
-    rc.crt = ordered_fraction(dist_time, config.distance_tie_tolerance_m);
+    rc.crt = ordered_fraction(dist_time);
 
     // Energy correlation: closer to track => higher energy, i.e. negated
     // energies are non-decreasing with distance.
@@ -97,7 +97,7 @@ CorrelationResult compute_correlation(
       dist_energy.emplace_back(travel_line.distance_to(r->position),
                                -r->average_energy);
     }
-    rc.cre = ordered_fraction(dist_energy, config.distance_tie_tolerance_m);
+    rc.cre = ordered_fraction(dist_energy);
 
     crt_rows.push_back(rc.crt);
     cre_rows.push_back(rc.cre);

@@ -36,17 +36,15 @@ enum class CorrelationAggregate {
   kProduct,  ///< CN = product over rows (the literal Eq. 10/12 reading)
 };
 
+/// Reports whose distances to the travel line differ by less than this
+/// are distance ties: the wake front reaches them near-simultaneously
+/// (nodes on opposite sides of the track, or the geometric quantization
+/// of a 25 m grid), so their mutual time/energy order carries no
+/// information and must not count against the score.
+inline constexpr double kDistanceTieToleranceM = 8.0;
+
 struct CorrelationConfig {
   CorrelationAggregate aggregate = CorrelationAggregate::kMean;
-  /// Rows with fewer reports than this still count (Crt = 1 for a single
-  /// report per the paper); rows with zero reports are skipped.
-  std::size_t min_rows = 2;
-  /// Reports whose distances to the travel line differ by less than this
-  /// are distance ties: the wake front reaches them near-simultaneously
-  /// (nodes on opposite sides of the track, or the geometric quantization
-  /// of a 25 m grid), so their mutual time/energy order carries no
-  /// information and must not count against the score.
-  double distance_tie_tolerance_m = 8.0;
 };
 
 struct RowCorrelation {

@@ -10,14 +10,12 @@ namespace sid::core {
 
 NodeDetector::NodeDetector(const NodeDetectorConfig& config)
     : config_(config),
-      filter_(dsp::butterworth_lowpass(config.lowpass_order,
-                                       config.lowpass_cutoff_hz,
+      filter_(dsp::butterworth_lowpass(kLowpassOrder, kLowpassCutoffHz,
                                        config.sample_rate_hz)),
       adaptive_(config.beta1, config.beta2),
-      crossing_window_(config.anomaly_window_samples),
-      crossing_energy_(config.anomaly_window_samples),
-      envelope_window_(std::max<std::size_t>(config.envelope_smooth_samples,
-                                             1)) {
+      crossing_window_(kAnomalyWindowSamples),
+      crossing_energy_(kAnomalyWindowSamples),
+      envelope_window_(kEnvelopeSmoothSamples) {
   util::require(config.threshold_multiplier_m > 0.0,
                 "NodeDetector: M must be positive");
   util::require(config.init_samples_u > 1,
@@ -27,8 +25,6 @@ NodeDetector::NodeDetector(const NodeDetectorConfig& config)
   util::require(config.anomaly_frequency_threshold > 0.0 &&
                     config.anomaly_frequency_threshold <= 1.0,
                 "NodeDetector: a_f threshold must be in (0, 1]");
-  util::require(config.counts_per_g > 0.0,
-                "NodeDetector: counts_per_g must be positive");
   util::require(config.storm_adaptation_beta > 0.0 &&
                     config.storm_adaptation_beta <= 1.0,
                 "NodeDetector: storm_adaptation_beta must be in (0, 1]");
@@ -41,7 +37,7 @@ NodeDetector::NodeDetector(const NodeDetectorConfig& config)
 double NodeDetector::rectify(double filtered_counts) const {
   // Remove the 1 g rest level, then fold troughs up: both above- and
   // below-rest excursions carry disturbance information (§IV-B).
-  return std::abs(filtered_counts - config_.counts_per_g);
+  return std::abs(filtered_counts - sense::kCountsPerG);
 }
 
 double NodeDetector::adaptive_mean() const {

@@ -19,8 +19,8 @@
 //      adaptive z-score: D_i = |a_i - m_T'| crossed when D_i > M * d_T'.
 //      (See DESIGN.md §4.1.) M sweeps 1..3 as in the paper;
 //   4. anomaly frequency a_f = N_A / N over a sliding window Delta_t
-//      (Eq. 7; the train disturbs the buoy for ~2 s, so the default
-//      window is 2 s = 100 samples);
+//      (Eq. 7; the train disturbs the buoy for ~2 s, so the window is
+//      2 s = 100 samples);
 //   5. when a_f reaches the trigger threshold, raise an alarm carrying
 //      the onset time of the first crossing and the average crossing
 //      energy E_dt (Eq. 8).
@@ -42,16 +42,23 @@
 
 namespace sid::core {
 
+// Front-end constants of the detector (§IV-B). The rest level removed
+// from z is sense::kCountsPerG.
+
+/// Low-pass front end: "filters out the frequency above 1 Hz".
+inline constexpr double kLowpassCutoffHz = 1.0;
+inline constexpr std::size_t kLowpassOrder = 4;
+/// Moving-average length applied to the rectified signal (envelope
+/// detection); 25 samples = 0.5 s at 50 Hz.
+inline constexpr std::size_t kEnvelopeSmoothSamples = 25;
+/// Anomaly-frequency window Delta_t (samples). 2 s at 50 Hz.
+inline constexpr std::size_t kAnomalyWindowSamples = 100;
+
+static_assert(kEnvelopeSmoothSamples > 0 && kAnomalyWindowSamples > 0,
+              "detector windows must hold at least one sample");
+
 struct NodeDetectorConfig {
   double sample_rate_hz = 50.0;
-  double counts_per_g = 1024.0;     ///< rest level removed from z
-  double lowpass_cutoff_hz = 1.0;
-  std::size_t lowpass_order = 4;
-
-  /// Moving-average length applied to the rectified signal (envelope
-  /// detection); 25 samples = 0.5 s. 1 disables smoothing.
-  std::size_t envelope_smooth_samples = 25;
-
   double beta1 = 0.99;              ///< Eq. 5 forgetting factor (mean)
   double beta2 = 0.99;              ///< Eq. 5 forgetting factor (std)
   /// Slow unconditional adaptation: every batch of *all* samples
@@ -72,8 +79,6 @@ struct NodeDetectorConfig {
   /// Batch size for subsequent adaptive updates.
   std::size_t update_batch_samples = 500;  ///< 10 s
 
-  /// Anomaly-frequency window Delta_t (samples). 2 s at 50 Hz.
-  std::size_t anomaly_window_samples = 100;
   /// Required a_f for a positive detection (Fig. 11 x-axis), in [0, 1].
   double anomaly_frequency_threshold = 0.6;
 
@@ -115,8 +120,6 @@ class NodeDetector {
   double adaptive_stddev() const;
   /// Current anomaly frequency over the sliding window.
   double anomaly_frequency() const;
-
-  const NodeDetectorConfig& config() const { return config_; }
 
  private:
   /// Rectified deviation statistic for one filtered sample.

@@ -38,12 +38,9 @@ struct AcousticSensingConfig {
   std::size_t node_stride = 3;
   /// Shared detector model; each hydrophone derives its own RNG stream
   /// from (scenario seed, node id), never from this config's seed.
+  /// SidSystem thins what a node reports to one contact per
+  /// kMinContactIntervalS (core/sid_system.h).
   acoustic::HydrophoneConfig hydrophone;
-  /// Origin-side thinning: a node reports at most one contact per this
-  /// interval (a sustained close pass fires the detector every
-  /// integration period; reporting each look would flood the radio — and
-  /// trip the sink ledger's contact-rate plausibility window).
-  double min_report_interval_s = 10.0;
 };
 
 struct ScenarioConfig {

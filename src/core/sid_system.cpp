@@ -17,8 +17,9 @@ namespace {
 /// centre, clamped into the grid. Pure so both static_head_of and the
 /// default-guard computation (which runs before the Network exists) share
 /// one definition.
-wsn::NodeId cell_head_id(std::size_t row, std::size_t col, std::size_t cell,
-                         std::size_t rows, std::size_t cols) {
+wsn::NodeId cell_head_id(std::size_t row, std::size_t col, std::size_t rows,
+                         std::size_t cols) {
+  constexpr std::size_t cell = kStaticCellSize;
   const std::size_t head_row = std::min((row / cell) * cell + cell / 2,
                                         rows - 1);
   const std::size_t head_col = std::min((col / cell) * cell + cell / 2,
@@ -34,12 +35,10 @@ wsn::NetworkConfig with_default_guards(const SidSystemConfig& config) {
   wsn::NetworkConfig net = config.network;
   if (!net.defense.enabled) return net;
   if (net.defense.guarded_nodes.empty()) {
-    std::vector<wsn::NodeId> guards{0};  // the sink at grid (0, 0)
-    const std::size_t cell =
-        std::max<std::size_t>(config.static_cell_size, 1);
-    for (std::size_t r = 0; r < net.rows; r += cell) {
-      for (std::size_t c = 0; c < net.cols; c += cell) {
-        const wsn::NodeId head = cell_head_id(r, c, cell, net.rows, net.cols);
+    std::vector<wsn::NodeId> guards{net.sink_node};
+    for (std::size_t r = 0; r < net.rows; r += kStaticCellSize) {
+      for (std::size_t c = 0; c < net.cols; c += kStaticCellSize) {
+        const wsn::NodeId head = cell_head_id(r, c, net.rows, net.cols);
         if (std::find(guards.begin(), guards.end(), head) == guards.end()) {
           guards.push_back(head);
         }
@@ -158,13 +157,11 @@ SidSystem::SidSystem(const SidSystemConfig& config)
     : config_(config),
       network_(with_default_guards(config)),
       counters_(network_.registry()),
-      evaluator_(config.cluster),
+      evaluator_(config.cluster, config.network.spacing_m),
       reliable_(network_, config.resilience.e2e),
       members_(network_.node_count()),
-      fuser_(derive_fusion_config(config)) {
-  util::require(config.static_cell_size >= 1,
-                "SidSystem: static cell size must be >= 1");
-  sink_node_ = network_.id_at(0, 0);
+      fuser_(derive_fusion_config(config)),
+      sink_node_(network_.sink_node()) {
   for (std::size_t id = 0; id < network_.node_count(); ++id) {
     if (carries_hydrophone(config_.scenario.acoustic,
                            static_cast<wsn::NodeId>(id))) {
@@ -211,8 +208,7 @@ wsn::NodeId SidSystem::static_head_of(wsn::NodeId id) const {
   const auto& info = network_.node(id);
   return cell_head_id(static_cast<std::size_t>(info.grid_row),
                       static_cast<std::size_t>(info.grid_col),
-                      config_.static_cell_size, config_.network.rows,
-                      config_.network.cols);
+                      config_.network.rows, config_.network.cols);
 }
 
 void SidSystem::submit_report(wsn::NodeId member_id, wsn::NodeId head,
@@ -226,9 +222,9 @@ void SidSystem::submit_report(wsn::NodeId member_id, wsn::NodeId head,
   member.submitted.push_back(report);
   if (member.fallback_check_scheduled) return;
   member.fallback_check_scheduled = true;
-  const double check_at = std::max(
-      member.membership_expires_s + config_.resilience.head_fallback_grace_s,
-      network_.events().now());
+  const double check_at =
+      std::max(member.membership_expires_s + kHeadFallbackGraceS,
+               network_.events().now());
   network_.events().schedule_at(check_at, [this, member_id, head] {
     loop_checker_.check();
     head_fallback_check(member_id, head);
@@ -361,13 +357,12 @@ void SidSystem::on_alarm(wsn::NodeId node, const wsn::DetectionReport& report,
   wsn::ClusterInvite invite;
   invite.head = node;
   invite.initiated_local_time_s = network_.local_time(node, t);
-  invite.hops_remaining =
-      static_cast<std::int32_t>(config_.cluster.invite_hops);
+  invite.hops_remaining = static_cast<std::int32_t>(kInviteHops);
   wsn::Message msg;
   msg.src = node;
   msg.dst = wsn::kSinkId;  // flood: dst unused
   msg.payload = invite;
-  network_.flood(msg, config_.cluster.invite_hops);
+  network_.flood(msg, kInviteHops);
 
   network_.events().schedule_at(deadline, [this, node] {
     loop_checker_.check();
@@ -608,11 +603,10 @@ void SidSystem::on_deliver(wsn::NodeId receiver, const wsn::Message& msg,
       state.reports.push_back(*report);
       if (!state.scheduled) {
         state.scheduled = true;
-        network_.events().schedule_after(
-            config_.resilience.fallback_window_s, [this, receiver] {
-              loop_checker_.check();
-              evaluate_fallback(receiver);
-            });
+        network_.events().schedule_after(kFallbackWindowS, [this, receiver] {
+          loop_checker_.check();
+          evaluate_fallback(receiver);
+        });
       }
       return;
     }
@@ -785,7 +779,7 @@ SystemResult SidSystem::run(std::span<const wake::ShipTrackConfig> ships) {
   contact_created_s_.clear();
   next_decision_seq_.clear();
   members_.assign(network_.node_count(), MemberState{});
-  tracker_ = Tracker(config_.cluster_tracker);
+  tracker_ = Tracker();
 
   const ScenarioRun front_end =
       simulate_node_reports(network_, ships, config_.scenario);
@@ -834,18 +828,23 @@ SystemResult SidSystem::run(std::span<const wake::ShipTrackConfig> ships) {
             on_alarm(node, report, now);
           });
     }
-    // Thinned acoustic contact submissions (min_report_interval_s): the
+    // Thinned acoustic contact submissions (kMinContactIntervalS): the
     // hydrophone fires every integration period during a sustained pass,
     // and reporting every look would flood the radio — and trip the sink
-    // ledger's contact-rate plausibility window. Sent contacts are
-    // re-sequenced 0, 1, ... so the sink's per-reporter dedup window sees
-    // a dense stream.
+    // ledger's contact-rate plausibility window. Contacts at least the
+    // interval apart number at most window / interval + 1 inside any
+    // closed window; the rest of the limit absorbs delivery jitter. Sent
+    // contacts are re-sequenced 0, 1, ... so the sink's per-reporter
+    // dedup window sees a dense stream.
+    static_assert(wsn::kAcousticRateWindowS / kMinContactIntervalS + 1.0 <=
+                      static_cast<double>(wsn::kAcousticRateLimit),
+                  "thinning must keep an honest hydrophone under the sink "
+                  "ledger's acoustic rate limit");
     if (!node_run.contacts.empty()) {
-      const double min_gap = config_.scenario.acoustic.min_report_interval_s;
       double last_sent = -std::numeric_limits<double>::infinity();
       std::uint32_t sent_seq = 0;
       for (const auto& contact : node_run.contacts) {
-        if (contact.time_s - last_sent < min_gap) continue;
+        if (contact.time_s - last_sent < kMinContactIntervalS) continue;
         last_sent = contact.time_s;
         wsn::AcousticContactReport report;
         report.reporter = node_run.node;
@@ -883,12 +882,12 @@ SystemResult SidSystem::run(std::span<const wake::ShipTrackConfig> ships) {
   // Detection outcomes against ground truth (observability only): each
   // alarm either matches a wake arrival or is spurious; each arrival with
   // no matching alarm at that node was missed.
-  const double tolerance = config_.detection_match_tolerance_s;
   for (std::size_t i = 0; i < front_end.node_runs.size(); ++i) {
     const auto& node_run = front_end.node_runs[i];
     const auto& truth = front_end.truths[i];
     for (const auto& alarm : node_run.alarms) {
-      if (alarm_matches_truth(alarm, truth.wake_arrivals, tolerance)) {
+      if (alarm_matches_truth(alarm, truth.wake_arrivals,
+                              kDetectionMatchToleranceS)) {
         counters_.true_alarms.add(1);
       } else {
         counters_.false_alarms.add(1);
@@ -899,7 +898,7 @@ SystemResult SidSystem::run(std::span<const wake::ShipTrackConfig> ships) {
           node_run.alarms.begin(), node_run.alarms.end(),
           [&](const Alarm& alarm) {
             return alarm_matches_truth(alarm, std::span(&arrival, 1),
-                                       tolerance);
+                                       kDetectionMatchToleranceS);
           });
       if (!detected) counters_.missed_wakes.add(1);
     }

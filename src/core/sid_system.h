@@ -6,9 +6,12 @@
 //   level spatio-temporal correlation + speed estimation  ->  decision
 //   forwarded to the static cluster head  ->  sink.
 //
-// The sink is the gateway node at grid (0, 0), whose satellite uplink to
-// the external user is assumed reliable (§IV-A "the final decision will
-// be reported to the external user via satellite or other means").
+// The sink is the gateway node NetworkConfig::sink_node (grid (0, 0) by
+// default), whose satellite uplink to the external user is assumed
+// reliable (§IV-A "the final decision will be reported to the external
+// user via satellite or other means"). The node spacing D the speed
+// estimator inverts with is NetworkConfig::spacing_m; the network config
+// is the only place either value lives.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +35,32 @@
 
 namespace sid::core {
 
+// Pipeline constants. Every node runs the same protocol, so no config
+// carries its own copy (fallback timers: DESIGN.md §5c; contact
+// thinning: §5k).
+
+/// Side length (in nodes) of the static cluster cells; the node at the
+/// cell centre is the static cluster head.
+inline constexpr std::size_t kStaticCellSize = 3;
+/// After a temporary cluster's collection window closes, members wait
+/// this long, then probe the head end-to-end; a give-up verdict means
+/// they re-submit their reports to the static head.
+inline constexpr double kHeadFallbackGraceS = 5.0;
+/// Orphan-report collection window at a static head before it runs the
+/// fallback evaluation itself.
+inline constexpr double kFallbackWindowS = 30.0;
+/// Origin-side thinning of acoustic contacts: a hydrophone node reports at
+/// most one contact per this interval (a sustained close pass fires the
+/// detector every integration period; reporting each look would flood
+/// the radio and trip the sink ledger's contact-rate window).
+inline constexpr double kMinContactIntervalS = 10.0;
+/// Tolerance when matching node alarms against ground-truth wake
+/// arrivals for the detect.* outcome counters (observability only; does
+/// not influence the protocol).
+inline constexpr double kDetectionMatchToleranceS = 6.0;
+
+static_assert(kStaticCellSize >= 1, "static cells hold at least one node");
+
 /// Graceful-degradation knobs (§IV-C requires the protocol to survive
 /// "wireless communication errors and possible network congestions";
 /// the fault layer adds node death on top).
@@ -39,13 +68,6 @@ struct ResilienceConfig {
   /// End-to-end ARQ for report/decision/probe traffic (ack by sequence
   /// number, capped exponential backoff + jitter, explicit give-up).
   wsn::ReliableConfig e2e;
-  /// After a temporary cluster's collection window closes, members wait
-  /// this long, then probe the head end-to-end; a give-up verdict means
-  /// they re-submit their reports to the static head.
-  double head_fallback_grace_s = 5.0;
-  /// Orphan-report collection window at a static head before it runs the
-  /// fallback evaluation itself.
-  double fallback_window_s = 30.0;
   /// Beacon processes outlive the sensing window by this much so late
   /// protocol traffic (retries, fallback evaluations) still routes over
   /// fresh liveness state.
@@ -53,23 +75,15 @@ struct ResilienceConfig {
 };
 
 struct SidSystemConfig {
+  /// The deployment: grid, spacing D, sink node, radio, faults, defense.
   wsn::NetworkConfig network;
   ScenarioConfig scenario;
   ClusterConfig cluster;
-  /// Side length (in nodes) of the static cluster cells; the node at the
-  /// cell centre is the static cluster head.
-  std::size_t static_cell_size = 3;
-  /// Sink-level vessel tracker configuration.
-  TrackerConfig cluster_tracker;
   /// Sink-side multi-modal fusion (core/fusion.h). use_acoustic is
   /// intersected with scenario.acoustic.enabled, so the acoustic lane only
   /// exists when the deployment actually carries hydrophones.
   MultiModalConfig fusion;
   ResilienceConfig resilience;
-  /// Tolerance when matching node alarms against ground-truth wake
-  /// arrivals for the detect.* outcome counters (observability only;
-  /// does not influence the protocol).
-  double detection_match_tolerance_s = 6.0;
 };
 
 /// A decision that reached the sink.
@@ -321,7 +335,8 @@ class SidSystem {
   std::map<wsn::NodeId, std::uint32_t> next_decision_seq_
       SID_GUARDED_BY(loop_checker_);
   SystemResult result_ SID_GUARDED_BY(loop_checker_);
-  wsn::NodeId sink_node_ = 0;
+  /// The gateway, read from the network (NetworkConfig::sink_node).
+  const wsn::NodeId sink_node_;
 };
 
 }  // namespace sid::core

@@ -10,14 +10,12 @@
 
 namespace sid::core {
 
-std::optional<SpeedEstimate> estimate_speed(
-    const SpeedQuad& quad, const SpeedEstimatorConfig& config) {
-  util::require(config.node_spacing_m > 0.0,
+std::optional<SpeedEstimate> estimate_speed(const SpeedQuad& quad,
+                                            double node_spacing_m) {
+  util::require(node_spacing_m > 0.0,
                 "estimate_speed: spacing must be positive");
-  util::require(config.theta_deg > 0.0 && config.theta_deg < 45.0,
-                "estimate_speed: theta must be in (0, 45) deg");
 
-  const double theta = util::deg_to_rad(config.theta_deg);
+  const double theta = util::deg_to_rad(kInversionThetaDeg);
   const double dt_i = quad.t2 - quad.t1;
   const double dt_j = quad.t4 - quad.t3;
   if (std::abs(dt_i) < 1e-6 || std::abs(dt_j) < 1e-6) return std::nullopt;
@@ -32,7 +30,7 @@ std::optional<SpeedEstimate> estimate_speed(
   // Pair speeds; with general theta the paper's 70 deg constants become
   // 90 deg - theta: sin(70 + alpha) == cos(alpha - theta) and
   // sin(alpha - 70) == -cos(alpha + theta) at theta = 20 deg.
-  const double d = config.node_spacing_m;
+  const double d = node_spacing_m;
   const double v_i = d * std::cos(alpha - theta) / (dt_i * std::sin(theta));
   const double v_j = -d * std::cos(alpha + theta) / (dt_j * std::sin(theta));
 
@@ -40,7 +38,7 @@ std::optional<SpeedEstimate> estimate_speed(
   if (!std::isfinite(v_i) || !std::isfinite(v_j)) return std::nullopt;
 
   const double v_mean = 0.5 * (v_i + v_j);
-  if (v_mean < config.min_speed_mps || v_mean > config.max_speed_mps) {
+  if (v_mean < kMinSpeedMps || v_mean > kMaxSpeedMps) {
     return std::nullopt;
   }
 
@@ -65,14 +63,14 @@ std::optional<SpeedEstimate> estimate_speed(
 }
 
 std::optional<SpeedEstimate> estimate_speed_either_pairing(
-    const SpeedQuad& quad, const SpeedEstimatorConfig& config) {
-  const auto direct = estimate_speed(quad, config);
+    const SpeedQuad& quad, double node_spacing_m) {
+  const auto direct = estimate_speed(quad, node_spacing_m);
   SpeedQuad swapped;
   swapped.t1 = quad.t3;
   swapped.t2 = quad.t4;
   swapped.t3 = quad.t1;
   swapped.t4 = quad.t2;
-  const auto crossed = estimate_speed(swapped, config);
+  const auto crossed = estimate_speed(swapped, node_spacing_m);
 
   // Both pairings are internally consistent when valid (Eq. 16 enforces
   // pair agreement); prefer the direct assignment, falling back to the

@@ -27,17 +27,19 @@
 
 namespace sid::core {
 
-struct SpeedEstimatorConfig {
-  double node_spacing_m = 25.0;  ///< the paper's D
-  /// Kelvin angle used by the inversion; the paper rounds to 20 deg.
-  double theta_deg = 20.0;
-  /// Plausibility window for marine surface craft. Eq. 16 solves alpha so
-  /// that the two pair speeds agree *by construction* (any four
-  /// timestamps yield a self-consistent v), so the only way to reject a
-  /// garbage quadruple is a physical range check.
-  double min_speed_mps = 0.5;
-  double max_speed_mps = 40.0;  ///< ~78 knots
-};
+/// Kelvin angle used by the inversion; the paper rounds to 20 deg.
+inline constexpr double kInversionThetaDeg = 20.0;
+/// Plausibility window for marine surface craft. Eq. 16 solves alpha so
+/// that the two pair speeds agree *by construction* (any four timestamps
+/// yield a self-consistent v), so the only way to reject a garbage
+/// quadruple is a physical range check.
+inline constexpr double kMinSpeedMps = 0.5;
+inline constexpr double kMaxSpeedMps = 40.0;  ///< ~78 knots
+
+static_assert(kInversionThetaDeg > 0.0 && kInversionThetaDeg < 45.0,
+              "theta must be in (0, 45) deg");
+static_assert(kMinSpeedMps > 0.0 && kMinSpeedMps < kMaxSpeedMps,
+              "the speed window must be a positive interval");
 
 struct SpeedEstimate {
   double speed_mps = 0.0;
@@ -64,16 +66,19 @@ struct SpeedQuad {
   double t4 = 0.0;
 };
 
-/// Inverts Eq. 16. Returns nullopt when the timestamps are degenerate
-/// (coincident pair times) or the two pair speeds are inconsistent.
-std::optional<SpeedEstimate> estimate_speed(
-    const SpeedQuad& quad, const SpeedEstimatorConfig& config = {});
+/// Inverts Eq. 16 for a grid of node spacing D = `node_spacing_m` (the
+/// deployment's NetworkConfig::spacing_m; v is proportional to D).
+/// Returns nullopt when the timestamps are degenerate (coincident pair
+/// times) or the speed falls outside [kMinSpeedMps, kMaxSpeedMps]. Throws
+/// util::InvalidArgument when the spacing is not positive.
+std::optional<SpeedEstimate> estimate_speed(const SpeedQuad& quad,
+                                            double node_spacing_m);
 
 /// Tries both assignments of the two columns to pairs (i, j) and returns
 /// the better (consistent, positive) estimate, as a deployment cannot
 /// know a priori which side of the track each column is on.
 std::optional<SpeedEstimate> estimate_speed_either_pairing(
-    const SpeedQuad& quad, const SpeedEstimatorConfig& config = {});
+    const SpeedQuad& quad, double node_spacing_m);
 
 /// Picks the best 2x2 block from a set of reports (per the paper: "we
 /// only record the reports which have the highest detected energy") and

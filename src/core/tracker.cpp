@@ -7,20 +7,9 @@
 
 namespace sid::core {
 
-Tracker::Tracker(const TrackerConfig& config) : config_(config) {
-  util::require(config.gate_radius_m > 0.0,
-                "Tracker: gate radius must be positive");
-  util::require(config.track_timeout_s > 0.0,
-                "Tracker: timeout must be positive");
-  util::require(config.alpha > 0.0 && config.alpha <= 1.0,
-                "Tracker: alpha must be in (0, 1]");
-  util::require(config.beta >= 0.0 && config.beta <= 1.0,
-                "Tracker: beta must be in [0, 1]");
-}
-
 void Tracker::retire_stale(double now) {
   auto stale = [&](const VesselTrack& track) {
-    return now - track.last_update_s > config_.track_timeout_s;
+    return now - track.last_update_s > kTrackTimeoutS;
   };
   for (const auto& track : tracks_) {
     if (stale(track)) retired_.push_back(track);
@@ -37,7 +26,7 @@ std::size_t Tracker::observe(const TrackObservation& observation) {
 
   // Nearest predicted track inside the gate.
   VesselTrack* best = nullptr;
-  double best_distance = config_.gate_radius_m;
+  double best_distance = kGateRadiusM;
   for (auto& track : tracks_) {
     const double d =
         util::distance(track.predict(observation.time_s),
@@ -67,9 +56,9 @@ std::size_t Tracker::observe(const TrackObservation& observation) {
   const double dt = observation.time_s - best->last_update_s;
   const util::Vec2 predicted = best->predict(observation.time_s);
   const util::Vec2 residual = observation.position - predicted;
-  best->position = predicted + residual * config_.alpha;
+  best->position = predicted + residual * kTrackAlpha;
   if (dt > 1e-9) {
-    best->velocity += residual * (config_.beta / dt);
+    best->velocity += residual * (kTrackBeta / dt);
   }
   if (observation.speed_mps > 0.0) {
     // Blend the cluster's own speed/heading estimate into the velocity;

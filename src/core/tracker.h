@@ -45,21 +45,26 @@ struct VesselTrack {
   bool confirmed() const { return observations >= 2; }
 };
 
-struct TrackerConfig {
-  /// Observations within this distance of a track's prediction associate
-  /// with it.
-  double gate_radius_m = 120.0;
-  /// Tracks silent for longer than this are retired.
-  double track_timeout_s = 300.0;
-  /// Alpha-beta filter gains (position / velocity corrections).
-  double alpha = 0.6;
-  double beta = 0.15;
-};
+// Tracker constants. The sink runs one filter, so no tracker carries its
+// own copy.
+
+/// Observations within this distance of a track's prediction associate
+/// with it (the boundary included).
+inline constexpr double kGateRadiusM = 120.0;
+/// Tracks silent for longer than this are retired (exactly this long
+/// survives).
+inline constexpr double kTrackTimeoutS = 300.0;
+/// Alpha-beta filter gains (position / velocity corrections).
+inline constexpr double kTrackAlpha = 0.6;
+inline constexpr double kTrackBeta = 0.15;
+
+static_assert(kGateRadiusM > 0.0 && kTrackTimeoutS > 0.0 &&
+                  kTrackAlpha > 0.0 && kTrackAlpha <= 1.0 &&
+                  kTrackBeta >= 0.0 && kTrackBeta <= 1.0,
+              "gate and timeout positive, alpha in (0, 1], beta in [0, 1]");
 
 class Tracker {
  public:
-  explicit Tracker(const TrackerConfig& config = {});
-
   /// Feeds one observation (must be non-decreasing in time). Returns the
   /// id of the track it was associated with (possibly newly created).
   std::size_t observe(const TrackObservation& observation);
@@ -70,12 +75,9 @@ class Tracker {
   /// Tracks retired so far (for post-run analysis).
   const std::vector<VesselTrack>& retired_tracks() const { return retired_; }
 
-  const TrackerConfig& config() const { return config_; }
-
  private:
   void retire_stale(double now);
 
-  TrackerConfig config_;
   std::vector<VesselTrack> tracks_;
   std::vector<VesselTrack> retired_;
   std::size_t next_id_ = 1;

@@ -10,8 +10,6 @@ namespace sid::sense {
 Accelerometer::Accelerometer(const AccelerometerConfig& config)
     : config_(config), rng_(config.seed) {
   util::require(config.range_g > 0.0, "Accelerometer: range must be positive");
-  util::require(config.counts_per_g > 0.0,
-                "Accelerometer: counts_per_g must be positive");
   util::require(config.noise_stddev_counts >= 0.0,
                 "Accelerometer: noise stddev must be non-negative");
   util::require(config.bias_stddev_counts >= 0.0,
@@ -24,13 +22,13 @@ Accelerometer::Accelerometer(const AccelerometerConfig& config)
 double Accelerometer::digitize(double accel_g, double bias_counts) {
   const double clipped =
       std::clamp(accel_g, -config_.range_g, config_.range_g);
-  double counts = clipped * config_.counts_per_g + bias_counts;
+  double counts = clipped * kCountsPerG + bias_counts;
   if (config_.noise_stddev_counts > 0.0) {
     counts += rng_.normal(0.0, config_.noise_stddev_counts);
   }
   // 12-bit quantization: integer counts, clipped to the ADC span.
   counts = std::round(counts);
-  const double full_scale = config_.range_g * config_.counts_per_g;
+  const double full_scale = config_.range_g * kCountsPerG;
   return std::clamp(counts, -full_scale, full_scale - 1.0);
 }
 

@@ -26,9 +26,13 @@ struct CountSample {
   double z = 0.0;
 };
 
+/// ADC counts per g: 12 bits over +/-2 g. This is also the 1 g rest level
+/// of the z axis that the detector and SensorTrace::z_centered remove.
+inline constexpr double kCountsPerG = 1024.0;
+static_assert(kCountsPerG > 0.0, "counts per g must be positive");
+
 struct AccelerometerConfig {
   double range_g = 2.0;           ///< clips at +/- range
-  double counts_per_g = 1024.0;   ///< 12-bit over +/-2 g
   double noise_stddev_counts = 4.0;
   /// Fixed per-axis bias, counts (manufacturing offset); sampled once at
   /// construction from N(0, bias_stddev_counts).
@@ -43,12 +47,6 @@ class Accelerometer {
   /// Converts a true acceleration (g) to a quantized, noisy, clipped ADC
   /// reading in counts.
   CountSample sample(const AccelG& true_accel_g);
-
-  /// Counts corresponding to exactly 1 g (the resting z reading).
-  double counts_per_g() const { return config_.counts_per_g; }
-  double range_counts() const { return config_.range_g * config_.counts_per_g; }
-
-  const AccelerometerConfig& config() const { return config_; }
 
  private:
   double digitize(double accel_g, double bias_counts);

@@ -19,9 +19,9 @@ bool SensorTrace::wake_active_at(std::size_t i) const {
   return false;
 }
 
-std::vector<double> SensorTrace::z_centered(double counts_per_g) const {
+std::vector<double> SensorTrace::z_centered() const {
   std::vector<double> out(z.size());
-  for (std::size_t i = 0; i < z.size(); ++i) out[i] = z[i] - counts_per_g;
+  for (std::size_t i = 0; i < z.size(); ++i) out[i] = z[i] - kCountsPerG;
   return out;
 }
 

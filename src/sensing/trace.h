@@ -38,9 +38,9 @@ struct SensorTrace {
   /// True when sample i falls inside any ground-truth wake interval.
   bool wake_active_at(std::size_t i) const;
 
-  /// z with the 1 g rest level removed (counts): the signal of Fig. 8
-  /// before filtering.
-  std::vector<double> z_centered(double counts_per_g = 1024.0) const;
+  /// z with the 1 g rest level (kCountsPerG) removed: the signal of
+  /// Fig. 8 before filtering.
+  std::vector<double> z_centered() const;
 };
 
 /// Buoy sensor defect applied while synthesizing a trace. Mirrors

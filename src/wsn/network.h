@@ -76,7 +76,9 @@ enum class RoutingMode {
 struct NetworkConfig {
   std::size_t rows = 6;
   std::size_t cols = 6;
-  double spacing_m = 25.0;   ///< the paper's deployment distance D
+  /// The deployment distance D (the paper's 25 m). The only copy:
+  /// SidSystem's speed estimator inverts Eq. 16 with this value.
+  double spacing_m = 25.0;
   RadioConfig radio;
   ClockConfig clock;
   /// Link-layer retransmissions per hop (0 = none).
@@ -103,11 +105,12 @@ struct NetworkConfig {
   /// traffic it changes nothing — every check passes on honest traffic
   /// and the ledger draws no randomness). Requires self-healing routing.
   DefenseConfig defense;
-  /// The deployed node acting as the sink/shore gateway. Messages whose
-  /// destination is the reserved kSinkId address resolve to this node at
-  /// the unicast entry point (historically such messages were declared
-  /// unroutable — see the kNoParent note in wsn/messages.h). SidSystem
-  /// stations its sink at grid (0, 0), hence the default.
+  /// The deployed node acting as the sink/shore gateway, grid (0, 0) by
+  /// default. The only copy: messages whose destination is the reserved
+  /// kSinkId address resolve to this node at the unicast entry point
+  /// (historically such messages were declared unroutable — see the
+  /// kNoParent note in wsn/messages.h), and SidSystem accepts decisions
+  /// and contacts here and guards it when the defense is on.
   NodeId sink_node = 0;
   /// Spatial shards of the beacon plane (K >= 1; 0 is rejected). The
   /// field is striped into K contiguous-id slices, each with its own

@@ -8,6 +8,7 @@
 
 #include "core/cluster.h"
 #include "core/correlation.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace sid::core {
@@ -16,6 +17,9 @@ namespace {
 using util::Line2;
 using util::Vec2;
 using wsn::DetectionReport;
+
+/// Node spacing D of the 25 m grid the test reports sit on.
+constexpr double kSpacingM = 25.0;
 
 /// A vertical travel line at x = x0 (ship sailing north).
 Line2 vertical_line(double x0) {
@@ -212,7 +216,7 @@ ClusterConfig oracle_config() {
 }
 
 TEST(ClusterEvaluatorTest, CancelsOnTooFewReports) {
-  ClusterEvaluator eval(oracle_config());
+  ClusterEvaluator eval(oracle_config(), kSpacingM);
   std::vector<DetectionReport> reports{
       make_report(0, 0, 25.0, 0.0, 100.0, 50.0)};
   const auto verdict = eval.evaluate(reports);
@@ -221,7 +225,7 @@ TEST(ClusterEvaluatorTest, CancelsOnTooFewReports) {
 }
 
 TEST(ClusterEvaluatorTest, DetectsOrderedIntrusionAcrossFourRows) {
-  ClusterEvaluator eval(oracle_config());
+  ClusterEvaluator eval(oracle_config(), kSpacingM);
   std::vector<DetectionReport> reports;
   for (std::int32_t row = 0; row < 4; ++row) {
     auto r = ordered_row(row, 5, 100.0 + row * 5.0);
@@ -235,7 +239,7 @@ TEST(ClusterEvaluatorTest, DetectsOrderedIntrusionAcrossFourRows) {
 
 TEST(ClusterEvaluatorTest, ThreeRowsNeverPassThreshold) {
   // §V-B1: the cluster must span at least 4 rows.
-  ClusterEvaluator eval(oracle_config());
+  ClusterEvaluator eval(oracle_config(), kSpacingM);
   std::vector<DetectionReport> reports;
   for (std::int32_t row = 0; row < 3; ++row) {
     auto r = ordered_row(row, 5);
@@ -247,7 +251,7 @@ TEST(ClusterEvaluatorTest, ThreeRowsNeverPassThreshold) {
 }
 
 TEST(ClusterEvaluatorTest, RandomReportsRejected) {
-  ClusterEvaluator eval(oracle_config());
+  ClusterEvaluator eval(oracle_config(), kSpacingM);
   util::Rng rng(11);
   std::vector<DetectionReport> reports;
   for (std::int32_t row = 0; row < 5; ++row) {
@@ -260,7 +264,7 @@ TEST(ClusterEvaluatorTest, RandomReportsRejected) {
   }
   ClusterConfig cfg = oracle_config();
   cfg.correlation.aggregate = CorrelationAggregate::kProduct;
-  ClusterEvaluator strict(cfg);
+  ClusterEvaluator strict(cfg, kSpacingM);
   const auto verdict = strict.evaluate(reports);
   EXPECT_FALSE(verdict.intrusion);
 }
@@ -268,7 +272,7 @@ TEST(ClusterEvaluatorTest, RandomReportsRejected) {
 TEST(ClusterEvaluatorTest, EstimatesLineWhenNoOracle) {
   ClusterConfig cfg;
   cfg.min_reports = 3;
-  ClusterEvaluator eval(cfg);
+  ClusterEvaluator eval(cfg, kSpacingM);
   std::vector<DetectionReport> reports;
   for (std::int32_t row = 0; row < 4; ++row) {
     auto r = ordered_row(row, 5, 100.0 + row * 5.0);
@@ -289,7 +293,7 @@ TEST(ClusterEvaluatorTest, SpeedEstimateAttachedOnIntrusion) {
   cfg.known_travel_line =
       Line2::through({62.0, 0.0}, std::numbers::pi / 2);  // north at x=62
   cfg.min_reports = 4;
-  ClusterEvaluator eval(cfg);
+  ClusterEvaluator eval(cfg, kSpacingM);
 
   std::vector<DetectionReport> reports;
   for (std::int32_t row = 0; row < 5; ++row) {
@@ -308,6 +312,12 @@ TEST(ClusterEvaluatorTest, SpeedEstimateAttachedOnIntrusion) {
   EXPECT_NEAR(verdict.speed->speed_mps, v, v * 0.25);
 }
 
+TEST(ClusterEvaluatorTest, NonPositiveSpacingThrows) {
+  // The spacing is the deployment's D, an input rather than a constant.
+  EXPECT_THROW(ClusterEvaluator(oracle_config(), 0.0), util::InvalidArgument);
+  EXPECT_THROW(ClusterEvaluator(oracle_config(), -25.0),
+               util::InvalidArgument);
+}
 
 // ------------------------------------------------------- sweep / dedup
 

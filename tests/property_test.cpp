@@ -211,10 +211,10 @@ TEST(CorrelationProperties, SweepTimeTranslationInvariant) {
 
 TEST(SpeedProperties, TimestampTranslationInvariant) {
   core::SpeedQuad quad{100.0, 105.3, 99.1, 104.4};
-  const auto before = core::estimate_speed_either_pairing(quad);
+  const auto before = core::estimate_speed_either_pairing(quad, 25.0);
   core::SpeedQuad shifted{quad.t1 + 500.0, quad.t2 + 500.0, quad.t3 + 500.0,
                           quad.t4 + 500.0};
-  const auto after = core::estimate_speed_either_pairing(shifted);
+  const auto after = core::estimate_speed_either_pairing(shifted, 25.0);
   ASSERT_TRUE(before && after);
   EXPECT_NEAR(before->speed_mps, after->speed_mps, 1e-9);
   EXPECT_NEAR(before->alpha_rad, after->alpha_rad, 1e-9);
@@ -224,8 +224,8 @@ TEST(SpeedProperties, JointScaleInvariance) {
   // Scaling the node spacing and every time difference by the same
   // factor leaves the speed unchanged (v ~ D / dt).
   core::SpeedQuad quad{100.0, 105.3, 99.1, 104.4};
-  core::SpeedEstimatorConfig base_cfg;
-  const auto base = core::estimate_speed_either_pairing(quad, base_cfg);
+  const double spacing_m = 25.0;
+  const auto base = core::estimate_speed_either_pairing(quad, spacing_m);
   ASSERT_TRUE(base.has_value());
 
   const double k = 2.0;
@@ -234,9 +234,8 @@ TEST(SpeedProperties, JointScaleInvariance) {
   scaled.t2 = 100.0 + k * (quad.t2 - quad.t1);
   scaled.t3 = 100.0 + k * (quad.t3 - quad.t1);
   scaled.t4 = 100.0 + k * (quad.t4 - quad.t1);
-  core::SpeedEstimatorConfig scaled_cfg;
-  scaled_cfg.node_spacing_m = base_cfg.node_spacing_m * k;
-  const auto rescaled = core::estimate_speed_either_pairing(scaled, scaled_cfg);
+  const auto rescaled =
+      core::estimate_speed_either_pairing(scaled, spacing_m * k);
   ASSERT_TRUE(rescaled.has_value());
   EXPECT_NEAR(rescaled->speed_mps, base->speed_mps,
               1e-9 * base->speed_mps);

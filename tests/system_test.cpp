@@ -4,10 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <numbers>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "core/correlation.h"
 #include "core/scenario.h"
 #include "core/sid_system.h"
+#include "core/speed_estimator.h"
+#include "obs/span.h"
 #include "util/units.h"
 
 namespace sid::core {
@@ -269,6 +276,82 @@ TEST(SidSystemTest, TwentyPercentNodeFailuresStillReachSinkViaFallback) {
   }
   EXPECT_TRUE(fallback_intrusion);
 }
+
+TEST(SidSystemTest, SinkComesFromTheNetworkConfig) {
+  // The gateway sits at grid (5, 5), a node no static cell is centred on.
+  // With the defense on, the default guards must cover that sink (and not
+  // grid (0, 0), which is neither sink nor static head here), and the
+  // pipeline's decisions must be accepted there.
+  auto cfg = system_config();
+  cfg.network.defense.enabled = true;
+  const wsn::NodeId sink = 35;
+  cfg.network.sink_node = sink;
+  SidSystem system(cfg);
+  ASSERT_EQ(system.network().id_at(5, 5), sink);
+  ASSERT_NE(system.static_head_of(sink), sink);
+  EXPECT_NE(system.network().guard_ledger(sink), nullptr);
+  EXPECT_EQ(system.network().guard_ledger(0), nullptr);
+
+  const auto ships = std::vector<wake::ShipTrackConfig>{crossing_ship()};
+  const auto result = system.run(ships);
+  EXPECT_TRUE(result.intrusion_reported());
+}
+
+#if SID_METRICS_ENABLED
+TEST(SidSystemTest, SpeedInvertsWithTheFieldSpacing) {
+  // A 6x6 field deployed at 30 m: the heads must invert Eq. 16 with
+  // D = 30 m, not the paper's 25 m. Each decision's span_fuse records
+  // name the reports its head fused; re-running the (pure) front end
+  // recovers their onsets, and the sink's speed must be the inversion of
+  // those onsets at D = 30 — 30/25 of the D = 25 figure.
+  auto cfg = system_config();
+  cfg.network.spacing_m = 30.0;
+  cfg.scenario.seed = 6;
+  const std::vector<wake::ShipTrackConfig> ships{
+      crossing_ship(10.0, 88.0, 75.0)};
+  SidSystem system(cfg);
+  std::ostringstream trace;
+  system.tracer().attach(&trace,
+                         static_cast<unsigned>(obs::Category::kCluster));
+  const auto result = system.run(ships);
+  system.tracer().close();
+
+  std::map<std::string, wsn::DetectionReport> report_by_id;
+  for (const auto& report :
+       simulate_node_reports(system.network(), ships, cfg.scenario)
+           .all_reports()) {
+    report_by_id.emplace(obs::span_id_hex(report.trace_id), report);
+  }
+  const std::string report_key = "\"report_id\":\"";
+  std::size_t checked = 0;
+  for (const auto& sink : result.sink_reports) {
+    if (sink.decision.estimated_speed_mps <= 0.0) continue;
+    const std::string decision_key =
+        "\"id\":\"" + obs::span_id_hex(sink.decision.trace_id) + "\"";
+    std::vector<wsn::DetectionReport> fused;
+    std::istringstream lines(trace.str());
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find("\"span_fuse\"") == std::string::npos ||
+          line.find(decision_key) == std::string::npos) {
+        continue;
+      }
+      const std::size_t start = line.find(report_key) + report_key.size();
+      fused.push_back(
+          report_by_id.at(line.substr(start, line.find('"', start) - start)));
+    }
+    const auto quad = select_speed_quad(dedup_strongest_per_node(fused));
+    ASSERT_TRUE(quad.has_value());
+    const auto at_30 = estimate_speed_either_pairing(*quad, 30.0);
+    const auto at_25 = estimate_speed_either_pairing(*quad, 25.0);
+    ASSERT_TRUE(at_30 && at_25);
+    EXPECT_DOUBLE_EQ(sink.decision.estimated_speed_mps, at_30->speed_mps);
+    EXPECT_NEAR(sink.decision.estimated_speed_mps / at_25->speed_mps,
+                30.0 / 25.0, 1e-12);
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+}
+#endif
 
 TEST(SidSystemTest, FasterShipYieldsHigherReportedSpeed) {
   const auto slow_ships =

@@ -82,11 +82,40 @@ TEST(TrackerTest, ClusterSpeedMeasurementBlendsIn) {
 }
 
 TEST(TrackerTest, StaleTracksRetire) {
-  TrackerConfig cfg;
-  cfg.track_timeout_s = 100.0;
-  Tracker tracker(cfg);
+  Tracker tracker;
   tracker.observe(obs(0.0, 0.0, 0.0));
-  tracker.observe(obs(300.0, 5000.0, 0.0));  // far away, long after
+  // Far away, long after the first track went silent.
+  tracker.observe(obs(kTrackTimeoutS + 100.0, 5000.0, 0.0));
+  EXPECT_EQ(tracker.active_tracks().size(), 1u);
+  ASSERT_EQ(tracker.retired_tracks().size(), 1u);
+  EXPECT_EQ(tracker.retired_tracks()[0].id, 1u);
+}
+
+TEST(TrackerTest, GateRadiusIsInclusive) {
+  // A stationary track predicts its own position, so the observation's
+  // distance to the prediction is exactly its offset.
+  Tracker on_gate;
+  const auto a = on_gate.observe(obs(0.0, 0.0, 0.0));
+  EXPECT_EQ(on_gate.observe(obs(10.0, kGateRadiusM, 0.0)), a);
+  EXPECT_EQ(on_gate.active_tracks().size(), 1u);
+
+  Tracker beyond_gate;
+  const auto b = beyond_gate.observe(obs(0.0, 0.0, 0.0));
+  const double just_beyond = std::nextafter(kGateRadiusM, 1e9);
+  EXPECT_NE(beyond_gate.observe(obs(10.0, just_beyond, 0.0)), b);
+  EXPECT_EQ(beyond_gate.active_tracks().size(), 2u);
+}
+
+TEST(TrackerTest, TrackSilentExactlyTheTimeoutSurvives) {
+  Tracker tracker;
+  tracker.observe(obs(0.0, 0.0, 0.0));
+  // Silent exactly kTrackTimeoutS: still active (a far observation opens
+  // a second track, so nothing associates with the first).
+  tracker.observe(obs(kTrackTimeoutS, 5000.0, 0.0));
+  EXPECT_EQ(tracker.active_tracks().size(), 2u);
+  EXPECT_TRUE(tracker.retired_tracks().empty());
+  // Silent any longer: retired.
+  tracker.observe(obs(std::nextafter(kTrackTimeoutS, 1e9), 5000.0, 0.0));
   EXPECT_EQ(tracker.active_tracks().size(), 1u);
   ASSERT_EQ(tracker.retired_tracks().size(), 1u);
   EXPECT_EQ(tracker.retired_tracks()[0].id, 1u);
@@ -96,15 +125,6 @@ TEST(TrackerTest, OutOfOrderObservationThrows) {
   Tracker tracker;
   tracker.observe(obs(100.0, 0.0, 0.0));
   EXPECT_THROW(tracker.observe(obs(50.0, 0.0, 0.0)), util::InvalidArgument);
-}
-
-TEST(TrackerTest, BadConfigThrows) {
-  TrackerConfig cfg;
-  cfg.gate_radius_m = 0.0;
-  EXPECT_THROW(Tracker{cfg}, util::InvalidArgument);
-  cfg = {};
-  cfg.alpha = 0.0;
-  EXPECT_THROW(Tracker{cfg}, util::InvalidArgument);
 }
 
 // ------------------------------------------------------------ reduction
