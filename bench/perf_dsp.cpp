@@ -37,17 +37,6 @@ void BM_FftReal(benchmark::State& state) {
 }
 BENCHMARK(BM_FftReal)->Arg(256)->Arg(1024)->Arg(2048)->Arg(8192);
 
-void BM_FftRealOnesided(benchmark::State& state) {
-  // Half-size packed real transform — the throughput-first path; compare
-  // against BM_FftReal at the same size for the split-radix gain.
-  const auto signal = random_signal(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sid::dsp::fft_real_onesided(signal));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FftRealOnesided)->Arg(256)->Arg(1024)->Arg(2048)->Arg(8192);
-
 void BM_FftConvolve(benchmark::State& state) {
   const auto a = random_signal(static_cast<std::size_t>(state.range(0)), 2);
   const auto b = random_signal(201, 3);  // FIR-tap-sized kernel

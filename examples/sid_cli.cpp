@@ -324,15 +324,26 @@ int cmd_scenario(const Args& args) {
   // One-line observability digest on stderr (stdout stays the sink log).
   const auto& detector_h = obs::stage_histogram(obs::Stage::kDetector);
   const auto& dispatch_h = obs::stage_histogram(obs::Stage::kEventDispatch);
+  const auto& routing_h = obs::stage_histogram(obs::Stage::kRouting);
+  const auto counter = [&system](std::string_view name) {
+    const obs::Counter* c = system.registry().find_counter(name);
+    return c == nullptr ? 0.0 : static_cast<double>(c->value());
+  };
+  const double searches = counter("net.route_searches");
+  const double links_per_search =
+      searches > 0.0 ? counter("net.route_links_examined") / searches : 0.0;
   std::fprintf(
       stderr,
       "[obs] alarms=%zu sink_decisions=%zu drops=%llu trace_events=%llu "
-      "detector p50=%.2fms p99=%.2fms dispatch p50=%.1fus p99=%.1fus\n",
+      "detector p50=%.2fms p99=%.2fms dispatch p50=%.1fus p99=%.1fus "
+      "routing p50=%.1fus p99=%.1fus links/search=%.1f\n",
       result.alarms_raised, result.sink_reports.size(),
       static_cast<unsigned long long>(result.network_stats.unicasts_dropped),
       static_cast<unsigned long long>(trace_events),
       detector_h.percentile(0.50) / 1e6, detector_h.percentile(0.99) / 1e6,
-      dispatch_h.percentile(0.50) / 1e3, dispatch_h.percentile(0.99) / 1e3);
+      dispatch_h.percentile(0.50) / 1e3, dispatch_h.percentile(0.99) / 1e3,
+      routing_h.percentile(0.50) / 1e3, routing_h.percentile(0.99) / 1e3,
+      links_per_search);
   std::printf("alarms=%zu clusters=%zu cancelled=%zu sink_reports=%zu\n",
               result.alarms_raised, result.clusters_formed,
               result.clusters_cancelled, result.sink_reports.size());

@@ -99,45 +99,6 @@ std::vector<std::complex<double>>& scratch(std::size_t which, std::size_t n) {
   return buf;
 }
 
-}  // namespace
-
-void FftPlan::forward_real(std::span<const double> input,
-                           std::complex<double>* out) const {
-  util::require(input.size() == n_,
-                "FftPlan::forward_real: input length != plan size");
-  util::require(n_ >= 2, "FftPlan::forward_real: size must be >= 2");
-  const std::size_t half = n_ / 2;
-
-  // Pack even samples into the real lane and odd samples into the
-  // imaginary lane of a half-size complex signal.
-  auto& z = scratch(0, half);
-  for (std::size_t k = 0; k < half; ++k) {
-    z[k] = std::complex<double>(input[2 * k], input[2 * k + 1]);
-  }
-  fft_plan(half).forward(z.data());
-
-  // Split/combine: with E/O the spectra of the even/odd streams,
-  //   X[k] = E[k] + e^{-2πik/n} O[k],   k = 0..n/2,
-  // where E[k] = (Z[k] + conj(Z[half-k]))/2 and
-  //       O[k] = -i (Z[k] - conj(Z[half-k]))/2 (indices mod half).
-  // The e^{-2πik/n} factors are exactly the first-half twiddles of this
-  // plan's final stage (offset half - 1 in the packed table).
-  const std::complex<double>* w = fwd_twiddles_.data() + (half - 1);
-  for (std::size_t k = 0; k <= half; ++k) {
-    const std::complex<double> zk = z[k == half ? 0 : k];
-    const std::complex<double> zc = std::conj(z[(half - k) % half]);
-    const std::complex<double> even = 0.5 * (zk + zc);
-    const std::complex<double> odd =
-        std::complex<double>(0.0, -0.5) * (zk - zc);
-    // k == half needs e^{-iπ} = -1, one past the stored half-table.
-    const std::complex<double> tw =
-        k == half ? std::complex<double>(-1.0, 0.0) : w[k];
-    out[k] = even + tw * odd;
-  }
-}
-
-namespace {
-
 /// Process-global plan cache. Plans are immutable once constructed, so
 /// only the map itself needs the lock: find-or-create runs entirely under
 /// mu_ (no check-then-act window), and the returned plan pointer is safe
@@ -191,16 +152,6 @@ std::vector<std::complex<double>> fft_real(std::span<const double> input) {
   for (std::size_t i = 0; i < input.size(); ++i) data[i] = input[i];
   fft_inplace(data);
   return data;
-}
-
-std::vector<std::complex<double>> fft_real_onesided(
-    std::span<const double> input) {
-  const std::size_t n = input.size();
-  util::require(is_power_of_two(n) && n >= 2,
-                "fft_real_onesided: size must be a power of two >= 2");
-  std::vector<std::complex<double>> out(n / 2 + 1);
-  fft_plan(n).forward_real(input, out.data());
-  return out;
 }
 
 std::vector<double> ifft_real(std::span<const std::complex<double>> input) {

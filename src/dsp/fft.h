@@ -2,8 +2,8 @@
 //
 // Implemented from scratch (no external FFT dependency): iterative
 // Cooley–Tukey with bit-reversal permutation. Sizes must be powers of two,
-// which matches the paper's 2048-point STFT frames. Real-input helpers
-// return only the non-redundant half of the spectrum.
+// which matches the paper's 2048-point STFT frames. power_spectrum
+// returns only the non-redundant half of a real signal's spectrum.
 //
 // Plans: an FftPlan precomputes, per size, the bit-reversal permutation
 // and the per-stage twiddle-factor tables that the transform kernel would
@@ -48,17 +48,6 @@ class FftPlan {
   /// Includes the 1/N normalization.
   void inverse(std::complex<double>* data) const;
 
-  /// Real-input forward transform via one complex FFT of half the size:
-  /// packs the even/odd samples of `input` (length `size()`, >= 2) into a
-  /// size()/2-point complex signal and reconstructs the one-sided spectrum
-  /// (bins 0..size()/2, i.e. size()/2 + 1 values) with a split/combine
-  /// pass. Roughly 2x faster than a full-size complex transform, but NOT
-  /// bit-identical to it (different operation order); production paths
-  /// that promise bit-compat with recorded outputs keep the full-size
-  /// transform and this entry point serves throughput-first callers.
-  void forward_real(std::span<const double> input,
-                    std::complex<double>* out) const;
-
  private:
   void transform(std::complex<double>* data, bool inverse) const;
 
@@ -88,12 +77,6 @@ std::vector<std::complex<double>> fft(
 /// Forward FFT of a real signal. Returns the full complex spectrum of
 /// length equal to the (power-of-two) input length.
 std::vector<std::complex<double>> fft_real(std::span<const double> input);
-
-/// One-sided spectrum (bins 0..N/2) of a real signal via the half-size
-/// packed transform (FftPlan::forward_real). Fastest real-input path; see
-/// the bit-compat caveat on forward_real.
-std::vector<std::complex<double>> fft_real_onesided(
-    std::span<const double> input);
 
 /// Inverse FFT returning the real part (for use after spectral products of
 /// conjugate-symmetric data, e.g. fast convolution).

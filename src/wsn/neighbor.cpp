@@ -2,10 +2,29 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "util/error.h"
 
 namespace sid::wsn {
+
+namespace {
+
+/// The 8-bit counters saturate instead of wrapping.
+void bump(std::uint8_t& count) {
+  if (count < std::numeric_limits<std::uint8_t>::max()) ++count;
+}
+
+/// Shifts one beacon-slot outcome into the entry's window and EWMA.
+void observe_slot(NeighborEntry& entry, bool heard) {
+  entry.slot_bits =
+      static_cast<std::uint8_t>((entry.slot_bits << 1) | (heard ? 1u : 0u));
+  if (entry.slots_observed < kLivenessWindowN) ++entry.slots_observed;
+  entry.quality =
+      (1.0 - kEwmaAlpha) * entry.quality + kEwmaAlpha * (heard ? 1.0 : 0.0);
+}
+
+}  // namespace
 
 NeighborEntry* NeighborTable::find(NodeId id) {
   const auto it = std::lower_bound(
@@ -19,6 +38,18 @@ const NeighborEntry* NeighborTable::find(NodeId id) const {
   return const_cast<NeighborTable*>(this)->find(id);
 }
 
+void NeighborTable::refresh(NeighborEntry& entry) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  entry.etx = 1.0 / std::max(entry.quality, kEtxQualityFloor);
+  if (entry.quality < kMinQuality) {
+    entry.blocked_until_s = kInf;
+  } else if (entry.suspected) {
+    entry.blocked_until_s = entry.blacklist_until_s;
+  } else {
+    entry.blocked_until_s = -kInf;
+  }
+}
+
 void NeighborTable::boot_neighbor(NodeId id,
                                   const std::vector<bool>& receptions) {
   util::require(id != self_, "NeighborTable: node cannot neighbor itself");
@@ -27,13 +58,8 @@ void NeighborTable::boot_neighbor(NodeId id,
   NeighborEntry entry;
   entry.id = id;
   entry.quality = 0.5;  // uninformed prior, sharpened by the boot rounds
-  for (const bool heard : receptions) {
-    entry.slot_bits = (entry.slot_bits << 1) | (heard ? 1u : 0u);
-    entry.slots_observed = std::min(entry.slots_observed + 1, kLivenessWindowN);
-    entry.quality =
-        (1.0 - kEwmaAlpha) * entry.quality + kEwmaAlpha * (heard ? 1.0 : 0.0);
-    if (heard) entry.last_heard_s = 0.0;
-  }
+  for (const bool heard : receptions) observe_slot(entry, heard);
+  refresh(entry);
   const auto it = std::lower_bound(
       entries_.begin(), entries_.end(), id,
       [](const NeighborEntry& e, NodeId v) { return e.id < v; });
@@ -46,11 +72,11 @@ bool NeighborTable::mark_suspected(NeighborEntry& entry, double t) {
   }
   const bool fresh = !entry.suspected;
   entry.suspected = true;
-  entry.suspicion_streak += 1;
+  bump(entry.suspicion_streak);
   const double backoff =
       std::min(kBlacklistCapS,
                kBlacklistBaseS *
-                   static_cast<double>(1ULL << std::min<std::size_t>(
+                   static_cast<double>(1ULL << std::min(
                                            entry.suspicion_streak - 1, 32)));
   entry.blacklist_until_s = t + backoff;
   // Post-quarantine re-confirmations double the backoff silently; only a
@@ -67,55 +93,52 @@ bool NeighborTable::clear_suspicion(NeighborEntry& entry) {
   return true;
 }
 
-bool NeighborTable::on_beacon(NodeId from, double t) {
+bool NeighborTable::on_beacon(NodeId from) {
   NeighborEntry* entry = find(from);
   if (entry == nullptr) return false;  // not a deployment neighbor
   entry->heard_this_slot = true;
-  entry->last_heard_s = t;
-  return clear_suspicion(*entry);
+  const bool cleared = clear_suspicion(*entry);
+  refresh(*entry);
+  return cleared;
 }
 
 std::vector<NodeId> NeighborTable::sweep(double t) {
   std::vector<NodeId> newly_suspected;
-  constexpr std::uint32_t window_mask = (1u << kLivenessWindowN) - 1u;
+  constexpr unsigned window_mask = (1u << kLivenessWindowN) - 1u;
   for (NeighborEntry& entry : entries_) {
-    const bool heard = entry.heard_this_slot;
+    observe_slot(entry, entry.heard_this_slot);
     entry.heard_this_slot = false;
-    entry.slot_bits = ((entry.slot_bits << 1) | (heard ? 1u : 0u));
-    entry.slots_observed = std::min(entry.slots_observed + 1, kLivenessWindowN);
-    entry.quality =
-        (1.0 - kEwmaAlpha) * entry.quality + kEwmaAlpha * (heard ? 1.0 : 0.0);
     // K-of-N: count silent slots among the last N observed.
-    const std::uint32_t recent = entry.slot_bits & window_mask;
-    const std::size_t observed =
-        std::min(entry.slots_observed, kLivenessWindowN);
-    const std::size_t heard_slots =
-        static_cast<std::size_t>(std::popcount(recent));
+    const std::size_t observed = entry.slots_observed;
+    const std::size_t heard_slots = static_cast<std::size_t>(
+        std::popcount(static_cast<unsigned>(entry.slot_bits & window_mask)));
     const std::size_t missed = observed - std::min(heard_slots, observed);
     if (missed >= kSuspectMissedK) {
       if (mark_suspected(entry, t)) newly_suspected.push_back(entry.id);
     }
+    refresh(entry);
   }
   return newly_suspected;
 }
 
-bool NeighborTable::on_tx_success(NodeId to, double t) {
+bool NeighborTable::on_tx_success(NodeId to) {
   NeighborEntry* entry = find(to);
   if (entry == nullptr) return false;
-  entry->last_heard_s = t;
   entry->quality = (1.0 - kEwmaAlpha) * entry->quality + kEwmaAlpha;
-  return clear_suspicion(*entry);
+  const bool cleared = clear_suspicion(*entry);
+  refresh(*entry);
+  return cleared;
 }
 
 bool NeighborTable::on_tx_failure(NodeId to, double t) {
   NeighborEntry* entry = find(to);
   if (entry == nullptr) return false;
-  entry->consecutive_tx_failures += 1;
+  bump(entry->consecutive_tx_failures);
   entry->quality = (1.0 - kEwmaAlpha) * entry->quality;
-  if (entry->consecutive_tx_failures >= kSuspectTxFailures) {
-    return mark_suspected(*entry, t);
-  }
-  return false;
+  const bool fresh = entry->consecutive_tx_failures >= kSuspectTxFailures &&
+                     mark_suspected(*entry, t);
+  refresh(*entry);
+  return fresh;
 }
 
 bool NeighborTable::usable(NodeId id, double t) const {

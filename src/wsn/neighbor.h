@@ -19,9 +19,9 @@
 // and consults it for routing; nothing here can cheat.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "wsn/messages.h"
@@ -66,31 +66,48 @@ static_assert(kBeaconPeriodS > 0.0, "beacon ticks must advance");
 // premise of the route search's lower bound (Network::learned_path).
 static_assert(kEwmaAlpha >= 0.0 && kEwmaAlpha <= 1.0,
               "EWMA weight must be in [0, 1]");
-static_assert(kLivenessWindowN < 32,
+static_assert(kLivenessWindowN <= 8,
               "the slot window must fit NeighborEntry::slot_bits");
 
+/// One learned link, 48 bytes. The route search reads only `id`, `etx`
+/// and `blocked_until_s`, which the table caches from the other fields
+/// after every mutation (NeighborTable::refresh), so an explored link
+/// costs one compare and one load (DESIGN.md §5f).
 struct NeighborEntry {
   NodeId id = 0;
+  /// Sliding window of recent beacon slots (bit 0 = newest, 1 = heard).
+  std::uint8_t slot_bits = 0;
+  /// Number of valid bits in slot_bits (saturates at the window size).
+  std::uint8_t slots_observed = 0;
+  /// Saturates at 255; only `>= kSuspectTxFailures` is ever asked.
+  std::uint8_t consecutive_tx_failures = 0;
+  /// Consecutive confirmations of the current suspicion; drives the
+  /// exponential backoff (which caps long before 255, where it
+  /// saturates). Reset to 0 on any evidence of life.
+  std::uint8_t suspicion_streak = 0;
+  /// Cached 1 / max(quality, floor): the link's route cost.
+  double etx = 2.0;
+  /// Cached forwarding gate: the link is usable at t iff
+  /// !(t < blocked_until_s). +inf below kMinQuality, the quarantine end
+  /// while suspected, -inf otherwise.
+  double blocked_until_s = -std::numeric_limits<double>::infinity();
   /// EWMA estimate of link delivery ratio in [0, 1].
   double quality = 0.5;
-  double last_heard_s = 0.0;
-  /// Sliding window of recent beacon slots (bit 0 = newest, 1 = heard).
-  std::uint32_t slot_bits = 0;
-  /// Number of valid bits in slot_bits (saturates at the window size).
-  std::size_t slots_observed = 0;
-  bool heard_this_slot = false;
-  std::size_t consecutive_tx_failures = 0;
-  bool suspected = false;
-  /// Consecutive confirmations of the current suspicion; drives the
-  /// exponential backoff. Reset to 0 on any evidence of life.
-  std::size_t suspicion_streak = 0;
   double blacklist_until_s = 0.0;
+  bool heard_this_slot = false;
+  bool suspected = false;
 };
+static_assert(sizeof(NeighborEntry) == 48,
+              "a learned link stays 48 bytes (DESIGN.md §5f)");
 
 class NeighborTable {
  public:
   NeighborTable() = default;
-  explicit NeighborTable(NodeId self) : self_(self) {}
+  /// `degree` is the number of deployment neighbors the table will hold;
+  /// the entries are reserved to exactly that.
+  explicit NeighborTable(NodeId self, std::size_t degree = 0) : self_(self) {
+    entries_.reserve(degree);
+  }
 
   /// Registers a physical neighbor discovered at deployment, seeding the
   /// estimate from the boot-round reception outcomes (oldest first).
@@ -98,7 +115,7 @@ class NeighborTable {
 
   /// Processes one received hello beacon. Returns true when this beacon
   /// cleared an active suspicion (i.e. the suspicion was false).
-  bool on_beacon(NodeId from, double t);
+  bool on_beacon(NodeId from);
 
   /// Per-slot bookkeeping, run once per own beacon tick: shifts every
   /// neighbor's slot window, updates the EWMA, and applies the K-of-N
@@ -108,7 +125,7 @@ class NeighborTable {
   /// Feedback from the node's own transmissions. on_tx_success returns
   /// true when it cleared an active suspicion; on_tx_failure returns
   /// true when the neighbor freshly became suspected.
-  bool on_tx_success(NodeId to, double t);
+  bool on_tx_success(NodeId to);
   bool on_tx_failure(NodeId to, double t);
 
   /// True when the node would currently forward through `id`: known,
@@ -118,9 +135,8 @@ class NeighborTable {
   bool usable(NodeId id, double t) const;
   /// The same test on an entry of entries(), without the id lookup
   /// (inline: route searches call it once per explored link).
-  bool usable(const NeighborEntry& entry, double t) const {
-    if (entry.quality < kMinQuality) return false;
-    return !(entry.suspected && t < entry.blacklist_until_s);
+  static bool usable(const NeighborEntry& entry, double t) {
+    return !(t < entry.blocked_until_s);
   }
 
   /// True while `id` is actively suspected dead (quarantine running).
@@ -134,9 +150,7 @@ class NeighborTable {
   /// kEwmaAlpha in [0, 1] keeps quality in [0, 1].
   double etx(NodeId id) const;
   /// The same cost for an entry of entries(), without the id lookup.
-  static double etx(const NeighborEntry& entry) {
-    return 1.0 / std::max(entry.quality, kEtxQualityFloor);
-  }
+  static double etx(const NeighborEntry& entry) { return entry.etx; }
 
   /// True when at least one neighbor is currently usable.
   bool any_usable(double t) const;
@@ -157,6 +171,10 @@ class NeighborTable {
   bool mark_suspected(NeighborEntry& entry, double t);
   /// Clears an active suspicion on live evidence; true when one existed.
   bool clear_suspicion(NeighborEntry& entry);
+  /// Recomputes the entry's cached `etx` and `blocked_until_s`. Every
+  /// public mutator ends with it, after any mark_suspected or
+  /// clear_suspicion it ran.
+  static void refresh(NeighborEntry& entry);
 
   NodeId self_ = 0;
   std::vector<NeighborEntry> entries_;  ///< sorted by id (deterministic)

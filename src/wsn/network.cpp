@@ -116,7 +116,10 @@ Network::NetCounters::NetCounters(obs::Registry& registry)
       defense_notices(registry.counter("defense.notices")),
       defense_spoofs_ignored(registry.counter("defense.spoofs_ignored")),
       defense_acoustic_rejects(
-          registry.counter("defense.acoustic_rejects")) {}
+          registry.counter("defense.acoustic_rejects")),
+      route_searches(registry.counter("net.route_searches")),
+      route_nodes_settled(registry.counter("net.route_nodes_settled")),
+      route_links_examined(registry.counter("net.route_links_examined")) {}
 
 Network::Network(const NetworkConfig& config)
     : config_(config),
@@ -276,6 +279,7 @@ void Network::build_adjacency() {
       if (!radio_.in_range(d)) continue;
       if (oracle && radio_.prr(d) < kOracleMinLinkPrr) continue;
       adjacency_[i].push_back(nodes_[j].id);
+      longest_link_m_ = std::max(longest_link_m_, d);
     }
   }
 }
@@ -292,7 +296,7 @@ void Network::boot_discovery() {
   tables_.clear();
   tables_.reserve(nodes_.size());
   for (const NodeInfo& info : nodes_) {
-    tables_.emplace_back(info.id);
+    tables_.emplace_back(info.id, adjacency_[info.id].size());
   }
   const double extra_loss = radio_.config().extra_loss_probability;
   std::vector<bool> receptions(kBootRounds);
@@ -489,7 +493,7 @@ void Network::commit_beacon_records() {
       }
       nodes_[v].energy.spend_rx(kBeaconBytes);
       counters_.beacon_receptions.add();
-      if (tables_[v].on_beacon(rec->sender, rec->t)) {
+      if (tables_[v].on_beacon(rec->sender)) {
         note_false_suspicion(v, rec->sender, rec->t);
       }
     }
@@ -578,68 +582,118 @@ std::optional<std::vector<NodeId>> Network::learned_path(NodeId from,
   RouteScratch& s = route_scratch_;
   if (s.cost.empty()) {
     s.cost.assign(nodes_.size(), kInf);
+    s.bound.assign(nodes_.size(), 0.0);
     // kNoParent, never kSinkId: the sink's reserved address shares the
     // numeric value, and reusing it as the search sentinel is exactly the
     // bug that made sink-addressed traffic unroutable (wsn/messages.h).
     s.parent.assign(nodes_.size(), kNoParent);
+    s.slot.assign(nodes_.size(), kNotQueued);
   }
   for (const NodeId v : s.touched) {
     s.cost[v] = kInf;
     s.parent[v] = kNoParent;
+    s.slot[v] = kNotQueued;
   }
   s.touched.clear();
   s.heap.clear();
-  // Goal direction (DESIGN.md §5f): every usable link is at most
-  // max_range_m long and costs ETX >= 1, so the straight-line distance
-  // to `to` in radio ranges, shrunk by 1e-6 to absorb rounding, is a
-  // consistent lower bound on the remaining cost. Ordering the heap by
-  // cost + bound settles nodes with the same costs Dijkstra computes
-  // while exploring only around the route.
+  // Goal direction (DESIGN.md §5f): every usable link is a deployed link,
+  // at most longest_link_m_ long, and costs ETX >= 1, so the straight-line
+  // distance to `to` in longest links, shrunk by 1e-6 to absorb rounding,
+  // is a consistent lower bound on the remaining cost. Ordering the heap
+  // by cost + bound settles nodes with the same costs Dijkstra computes
+  // while exploring only around the route. A field without links has no
+  // route to bound (and 0 * inf would be NaN).
   const util::Vec2 goal = nodes_[to].anchor;
-  const double bound_per_m = (1.0 - 1e-6) / radio_.config().max_range_m;
-  const auto later = [](const RouteItem& a, const RouteItem& b) {
-    return a.key != b.key ? a.key > b.key : a.node > b.node;
+  const double bound_per_m =
+      longest_link_m_ > 0.0 ? (1.0 - 1e-6) / longest_link_m_ : 0.0;
+  const auto before = [](const RouteItem& a, const RouteItem& b) {
+    return a.key != b.key ? a.key < b.key : a.node < b.node;
   };
-  const auto push = [&](NodeId v, double cost) {
-    const double bound = bound_per_m * util::distance(nodes_[v].anchor, goal);
-    s.heap.push_back({cost + bound, cost, v});
-    std::push_heap(s.heap.begin(), s.heap.end(), later);
+  const auto place = [&s](std::size_t i, const RouteItem& item) {
+    s.heap[i] = item;
+    s.slot[item.node] = static_cast<std::uint32_t>(i);
   };
+  const auto sift_up = [&](std::size_t i) {
+    const RouteItem item = s.heap[i];
+    while (i > 0 && before(item, s.heap[(i - 1) / 4])) {
+      place(i, s.heap[(i - 1) / 4]);
+      i = (i - 1) / 4;
+    }
+    place(i, item);
+  };
+  const auto sift_down = [&](std::size_t i) {
+    const RouteItem item = s.heap[i];
+    const std::size_t n = s.heap.size();
+    for (std::size_t first = 4 * i + 1; first < n; first = 4 * i + 1) {
+      std::size_t best = first;
+      for (std::size_t k = 1; k < 4 && first + k < n; ++k) {
+        if (before(s.heap[first + k], s.heap[best])) best = first + k;
+      }
+      if (!before(s.heap[best], item)) break;
+      place(i, s.heap[best]);
+      i = best;
+    }
+    place(i, item);
+  };
+  // Queues `v` at `cost`, or lowers its key if it is queued already.
+  const auto enqueue = [&](NodeId v, double cost) {
+    const double key = cost + s.bound[v];
+    if (s.slot[v] == kNotQueued) {
+      s.heap.push_back({key, v});
+      sift_up(s.heap.size() - 1);
+    } else {
+      s.heap[s.slot[v]].key = key;
+      sift_up(s.slot[v]);
+    }
+  };
+  const auto touch = [&](NodeId v) {
+    s.touched.push_back(v);
+    s.bound[v] = bound_per_m * util::distance(nodes_[v].anchor, goal);
+  };
+  // Work is tallied here and added to the counters once per search.
+  std::uint64_t settled = 0;
+  std::uint64_t examined = 0;
   s.cost[from] = 0.0;
-  s.touched.push_back(from);
-  push(from, 0.0);
+  touch(from);
+  enqueue(from, 0.0);
   while (!s.heap.empty()) {
-    std::pop_heap(s.heap.begin(), s.heap.end(), later);
-    const RouteItem item = s.heap.back();
+    const NodeId u = s.heap.front().node;
+    s.slot[u] = kNotQueued;
+    s.heap.front() = s.heap.back();
     s.heap.pop_back();
-    const NodeId u = item.node;
-    if (item.cost > s.cost[u]) continue;  // stale heap entry
+    if (!s.heap.empty()) sift_down(0);
+    ++settled;
     if (u == to) break;
-    const NeighborTable& table = tables_[u];
-    for (const NeighborEntry& entry : table.entries()) {
+    const double cost_u = s.cost[u];
+    const std::vector<NeighborEntry>& entries = tables_[u].entries();
+    examined += entries.size();
+    for (const NeighborEntry& entry : entries) {
       const NodeId v = entry.id;
-      if (!table.usable(entry, t)) continue;
+      if (!NeighborTable::usable(entry, t)) continue;
       // Quarantined identities are excluded as relays (but remain
       // addressable as final destinations, e.g. for transport acks).
       if (!qview_.empty() && v != to && qview_[u][v] != 0) continue;
-      const double next = item.cost + NeighborTable::etx(entry);
+      const double next = cost_u + NeighborTable::etx(entry);
       if (next < s.cost[v]) {
-        if (s.cost[v] == kInf) s.touched.push_back(v);
+        if (s.cost[v] == kInf) touch(v);
         s.cost[v] = next;
         s.parent[v] = u;
-        push(v, next);
+        enqueue(v, next);
       } else if (next == s.cost[v]) {
         // Tie contract: Dijkstra settles in (cost, id) order and keeps
         // the first predecessor to reach a node's final cost. The bound
         // reorders settling, so the same predecessor is chosen here
         // explicitly: the least by (cost, id).
         const NodeId p = s.parent[v];
-        if (item.cost < s.cost[p] || (item.cost == s.cost[p] && u < p)) {
+        if (cost_u < s.cost[p] || (cost_u == s.cost[p] && u < p)) {
           s.parent[v] = u;
         }
       }
     }
   }
+  counters_.route_searches.add();
+  counters_.route_nodes_settled.add(settled);
+  counters_.route_links_examined.add(examined);
   if (s.parent[to] == kNoParent) return std::nullopt;
   std::vector<NodeId> path{to};
   NodeId cur = to;
@@ -732,7 +786,7 @@ std::optional<double> Network::try_hop(const NodeInfo& from,
     nodes_[to.id].energy.spend_rx(bytes);
     // The link-layer ack doubles as an observation of the link (and of
     // the neighbor being alive).
-    if (learning && tables_[from.id].on_tx_success(to.id, t)) {
+    if (learning && tables_[from.id].on_tx_success(to.id)) {
       note_false_suspicion(from.id, to.id, t);
     }
     return delay;
@@ -1298,7 +1352,7 @@ void Network::spoof_tick(std::size_t index) {
         counters_.defense_spoofs_ignored.add();
         continue;
       }
-      if (tables_[v].on_beacon(atk.spoofed, t)) {
+      if (tables_[v].on_beacon(atk.spoofed)) {
         note_false_suspicion(v, atk.spoofed, t);
       }
     }

@@ -461,6 +461,12 @@ class Network {
     obs::Counter& defense_notices;
     obs::Counter& defense_spoofs_ignored;
     obs::Counter& defense_acoustic_rejects;
+    /// Route-search work in learned_path, added once per search that
+    /// got past the dead-source and same-node shortcuts. Counters only,
+    /// not part of the NetworkStats view.
+    obs::Counter& route_searches;
+    obs::Counter& route_nodes_settled;
+    obs::Counter& route_links_examined;
   };
 
   NetworkConfig config_;
@@ -476,6 +482,9 @@ class Network {
   FaultInjector faults_;
   std::vector<NodeInfo> nodes_;
   std::vector<std::vector<NodeId>> adjacency_;
+  /// Length of the longest link in adjacency_ (0 when there is none):
+  /// the route search's lower bound divides by it.
+  double longest_link_m_ = 0.0;
   /// Uniform grid over the deployed anchors (cell = radio range); built
   /// once at construction, reused by the adjacency build and the replay
   /// capture precomputation.
@@ -504,13 +513,18 @@ class Network {
   /// the phase-A beacon lanes, so one copy serves every search.
   struct RouteItem {
     double key = 0.0;  ///< cost so far + lower bound to the target
-    double cost = 0.0;
     NodeId node = 0;
   };
+  /// RouteScratch::slot of a node that is not in the heap.
+  static constexpr std::uint32_t kNotQueued = 0xFFFFFFFFu;
   struct RouteScratch {
     std::vector<double> cost;   ///< best known cost (inf = untouched)
+    std::vector<double> bound;  ///< lower bound to the target, per touch
     std::vector<NodeId> parent;
+    std::vector<std::uint32_t> slot;  ///< heap index, or kNotQueued
     std::vector<NodeId> touched;
+    /// Indexed 4-ary min-heap by (key, node) with decrease-key: each
+    /// queued node appears once, at heap[slot[node]].
     std::vector<RouteItem> heap;
   };
   RouteScratch route_scratch_;

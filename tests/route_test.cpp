@@ -3,11 +3,13 @@
 // replaced, on every query. The reference below is that Dijkstra kept
 // verbatim, reading only the network's public state; the fields cover
 // the cases where the two could part ways: exactly tied link costs just
-// after boot, suspicion and detours under crashes and burst loss, and
-// relays excluded by quarantine views.
+// after boot, suspicion and detours under crashes and burst loss, relays
+// excluded by quarantine views, a spacing whose longest link (the
+// bound's scale) is not the default grid's, and a field with no links.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -17,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/geometry.h"
 #include "util/rng.h"
 #include "wsn/faults.h"
 #include "wsn/messages.h"
@@ -230,6 +233,58 @@ TEST(RouteEquivalenceTest, DefendedFieldWithQuarantineViews) {
   EXPECT_GE(tally.compared, 2400u);
   EXPECT_EQ(tally.mismatched, 0u);
   EXPECT_GE(tally.multi_hop, tally.compared / 2);
+}
+
+TEST(RouteEquivalenceTest, WideSpacingBoundsByTheLongestLink) {
+  // The bound divides by the longest deployed link, not the radio range.
+  // At 40 m spacing that is the 56.6 m diagonal, against 55.9 m on the
+  // default 25 m grid. A radio that hears the diagonals almost always
+  // lets their ETX approach 1, so a bound scaled by anything shorter
+  // (even the default grid's 55.9 m) overestimates and changes routes.
+  NetworkConfig cfg = field_20x20();
+  cfg.spacing_m = 40.0;
+  cfg.radio.prr50_distance_m = 70.0;
+  cfg.radio.transition_width_m = 3.0;
+  cfg.radio.extra_loss_probability = 0.0;
+  Network net(cfg);
+  double longest = 0.0;
+  for (NodeId u = 0; u < net.node_count(); ++u) {
+    for (const NodeId v : net.neighbors(u)) {
+      longest = std::max(longest, util::distance(net.node(u).anchor,
+                                                 net.node(v).anchor));
+    }
+  }
+  EXPECT_DOUBLE_EQ(longest, 40.0 * std::sqrt(2.0));
+  Tally tally;
+  schedule_checks(net, 4, 0.0, 60.0, 40, 60, tally);
+  net.start_beacons(60.0);
+  net.run_events();
+  EXPECT_GE(tally.compared, 2400u);
+  EXPECT_EQ(tally.mismatched, 0u);
+  EXPECT_GE(tally.routed, tally.compared * 9 / 10);
+  EXPECT_GE(tally.multi_hop, tally.compared / 2);
+}
+
+TEST(RouteEquivalenceTest, FieldWithoutLinksRoutesNothing) {
+  // At 80 m spacing no two buoys are in radio range: there is no link to
+  // scale the bound by, and only a node's route to itself exists.
+  NetworkConfig cfg = field_20x20();
+  cfg.spacing_m = 80.0;
+  Network net(cfg);
+  for (NodeId u = 0; u < net.node_count(); ++u) {
+    EXPECT_TRUE(net.neighbors(u).empty());
+  }
+  Tally tally;
+  schedule_checks(net, 5, 0.0, 10.0, 10, 60, tally);
+  net.start_beacons(10.0);
+  net.run_events();
+  EXPECT_EQ(tally.compared, 600u);
+  EXPECT_EQ(tally.mismatched, 0u);
+  EXPECT_EQ(tally.multi_hop, 0u);
+  EXPECT_LT(tally.routed, tally.compared / 10);  // only a == b routes
+  EXPECT_EQ(net.route(0, 399), std::nullopt);
+  EXPECT_EQ(net.route(kSinkId, 21), std::nullopt);
+  EXPECT_EQ(net.route(21, 21), std::vector<NodeId>{21});
 }
 
 }  // namespace

@@ -165,7 +165,7 @@ TEST(NeighborTableTest, MissedBeaconsRaiseSuspicionThatABeaconClears) {
   // Healthy phase: a beacon arrives every slot, no suspicion.
   for (int slot = 0; slot < 4; ++slot) {
     t += kBeaconPeriodS;
-    table.on_beacon(1, t);
+    table.on_beacon(1);
     EXPECT_TRUE(table.sweep(t).empty());
   }
   EXPECT_FALSE(table.suspects(1, t));
@@ -187,7 +187,7 @@ TEST(NeighborTableTest, MissedBeaconsRaiseSuspicionThatABeaconClears) {
   EXPECT_TRUE(table.usable(1, t + kBlacklistBaseS + 0.1));
   // Direct evidence of life clears the suspicion — and reports it as
   // having been false.
-  EXPECT_TRUE(table.on_beacon(1, t + 1.0));
+  EXPECT_TRUE(table.on_beacon(1));
   EXPECT_FALSE(table.suspects(1, t + 1.0));
 }
 
@@ -198,7 +198,7 @@ TEST(NeighborTableTest, ConsecutiveTxFailuresAreAFastSuspicionPath) {
   EXPECT_TRUE(table.on_tx_failure(1, 11.0));   // threshold: fresh suspicion
   EXPECT_TRUE(table.suspects(1, 11.0));
   // A later success clears it and resets the failure streak.
-  EXPECT_TRUE(table.on_tx_success(1, 12.0));
+  EXPECT_TRUE(table.on_tx_success(1));
   EXPECT_FALSE(table.suspects(1, 12.0));
   EXPECT_FALSE(table.on_tx_failure(1, 13.0));  // streak restarted at 0
 }
@@ -280,6 +280,7 @@ class NeighborModel {
     const auto it = links_.find(id);
     return it == links_.end() ? 0.0 : it->second.quality;
   }
+  double etx(NodeId id) const { return 1.0 / std::max(quality(id), 0.05); }
   std::size_t max_streak() const { return max_streak_; }
 
  private:
@@ -367,12 +368,12 @@ TEST(NeighborTableModelTest, RandomOperationsMatchAPlainModel) {
         fresh_suspicions += fresh.size();
       } else if (op < 0.7) {
         if (rng.bernoulli(kHearP[n])) {
-          const bool cleared = table.on_beacon(id, t);
+          const bool cleared = table.on_beacon(id);
           EXPECT_EQ(cleared, model.on_beacon(id));
           clears += cleared ? 1 : 0;
         }
       } else if (rng.bernoulli(kHearP[n])) {
-        const bool cleared = table.on_tx_success(id, t);
+        const bool cleared = table.on_tx_success(id);
         EXPECT_EQ(cleared, model.on_tx_success(id));
         clears += cleared ? 1 : 0;
       } else {
@@ -389,6 +390,17 @@ TEST(NeighborTableModelTest, RandomOperationsMatchAPlainModel) {
                     model.quarantined(v, t + ahead));
         }
         EXPECT_DOUBLE_EQ(table.quality(v), model.quality(v));
+        // The route cost is cached per entry; it must be the model's
+        // formula to the last bit.
+        EXPECT_EQ(table.etx(v), model.etx(v));
+      }
+      // Routing reads the entries directly: the entry-level gate must
+      // agree with the id lookup (and so with the model) at every step.
+      for (const NeighborEntry& entry : table.entries()) {
+        for (const double ahead : {0.0, 10.0, 40.0}) {
+          EXPECT_EQ(table.usable(entry, t + ahead),
+                    table.usable(entry.id, t + ahead));
+        }
       }
       if (HasFailure()) {
         FAIL() << "diverged at seed " << seed << ", step " << step;
