@@ -322,6 +322,7 @@ int cmd_scenario(const Args& args) {
   }
 
   // One-line observability digest on stderr (stdout stays the sink log).
+  const auto& synthesis_h = obs::stage_histogram(obs::Stage::kSynthesis);
   const auto& detector_h = obs::stage_histogram(obs::Stage::kDetector);
   const auto& dispatch_h = obs::stage_histogram(obs::Stage::kEventDispatch);
   const auto& routing_h = obs::stage_histogram(obs::Stage::kRouting);
@@ -335,11 +336,13 @@ int cmd_scenario(const Args& args) {
   std::fprintf(
       stderr,
       "[obs] alarms=%zu sink_decisions=%zu drops=%llu trace_events=%llu "
-      "detector p50=%.2fms p99=%.2fms dispatch p50=%.1fus p99=%.1fus "
-      "routing p50=%.1fus p99=%.1fus links/search=%.1f\n",
+      "synthesis p50=%.2fms p99=%.2fms detector p50=%.2fms p99=%.2fms "
+      "dispatch p50=%.1fus p99=%.1fus routing p50=%.1fus p99=%.1fus "
+      "links/search=%.1f\n",
       result.alarms_raised, result.sink_reports.size(),
       static_cast<unsigned long long>(result.network_stats.unicasts_dropped),
       static_cast<unsigned long long>(trace_events),
+      synthesis_h.percentile(0.50) / 1e6, synthesis_h.percentile(0.99) / 1e6,
       detector_h.percentile(0.50) / 1e6, detector_h.percentile(0.99) / 1e6,
       dispatch_h.percentile(0.50) / 1e3, dispatch_h.percentile(0.99) / 1e3,
       routing_h.percentile(0.50) / 1e3, routing_h.percentile(0.99) / 1e3,

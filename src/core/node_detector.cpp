@@ -52,11 +52,7 @@ double NodeDetector::adaptive_stddev() const {
 
 double NodeDetector::anomaly_frequency() const {
   if (crossing_window_.empty()) return 0.0;
-  std::size_t crossings = 0;
-  for (std::size_t i = 0; i < crossing_window_.size(); ++i) {
-    if (crossing_window_.at(i)) ++crossings;
-  }
-  return static_cast<double>(crossings) /
+  return static_cast<double>(crossings_) /
          static_cast<double>(crossing_window_.size());
 }
 
@@ -108,8 +104,12 @@ std::optional<Alarm> NodeDetector::process_sample(double z_counts, double t) {
   const double d_max = config_.threshold_multiplier_m * adaptive_.stddev();
   const bool crossed = d_i > d_max;
 
+  // The running crossing count follows the window: the slot this push
+  // evicts leaves it, the new sample joins it.
+  if (crossing_window_.full() && crossing_window_.oldest()) --crossings_;
   crossing_window_.push(crossed);
   crossing_energy_.push(crossed ? d_i : 0.0);
+  if (crossed) ++crossings_;
 
   if (crossed) {
     if (first_crossing_time_ < 0.0) first_crossing_time_ = t;
@@ -136,35 +136,34 @@ std::optional<Alarm> NodeDetector::process_sample(double z_counts, double t) {
   // Evaluate a_f over the sliding window once it is full.
   if (!crossing_window_.full()) return std::nullopt;
 
-  std::size_t crossings = 0;
-  double energy_sum = 0.0;
-  double energy_peak = 0.0;
-  for (std::size_t i = 0; i < crossing_window_.size(); ++i) {
-    if (crossing_window_.at(i)) {
-      ++crossings;
-      energy_sum += crossing_energy_.at(i);
-      energy_peak = std::max(energy_peak, crossing_energy_.at(i));
-    }
-  }
-  const double a_f = static_cast<double>(crossings) /
-                     static_cast<double>(crossing_window_.size());
-
-  if (crossings == 0) {
+  if (crossings_ == 0) {
     // Run of disturbance over; reset the onset tracker.
     first_crossing_time_ = -1.0;
     return std::nullopt;
   }
 
+  const double a_f = anomaly_frequency();
   if (a_f < config_.anomaly_frequency_threshold) return std::nullopt;
   if (last_alarm_time_ >= 0.0 && t - last_alarm_time_ < config_.refractory_s) {
     return std::nullopt;
+  }
+
+  // E_dt (Eq. 8) and the peak over the window's crossings, oldest first;
+  // needed only here, when an alarm is emitted.
+  double energy_sum = 0.0;
+  double energy_peak = 0.0;
+  for (std::size_t i = 0; i < crossing_window_.size(); ++i) {
+    if (crossing_window_.at(i)) {
+      energy_sum += crossing_energy_.at(i);
+      energy_peak = std::max(energy_peak, crossing_energy_.at(i));
+    }
   }
 
   Alarm alarm;
   alarm.onset_time_s = first_crossing_time_ >= 0.0 ? first_crossing_time_ : t;
   alarm.trigger_time_s = t;
   alarm.anomaly_frequency = a_f;
-  alarm.average_energy = energy_sum / static_cast<double>(crossings);
+  alarm.average_energy = energy_sum / static_cast<double>(crossings_);
   alarm.peak_energy = energy_peak;
   last_alarm_time_ = t;
   return alarm;

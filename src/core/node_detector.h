@@ -20,7 +20,9 @@
 //      (See DESIGN.md §4.1.) M sweeps 1..3 as in the paper;
 //   4. anomaly frequency a_f = N_A / N over a sliding window Delta_t
 //      (Eq. 7; the train disturbs the buoy for ~2 s, so the window is
-//      2 s = 100 samples);
+//      2 s = 100 samples). N_A is a running count updated on every push,
+//      so a sample costs O(1); the window is rescanned only for an alarm's
+//      energies;
 //   5. when a_f reaches the trigger threshold, raise an alarm carrying
 //      the onset time of the first crossing and the average crossing
 //      energy E_dt (Eq. 8).
@@ -118,7 +120,8 @@ class NodeDetector {
   double adaptive_mean() const;
   /// Current adaptive standard deviation d_T'. Requires armed().
   double adaptive_stddev() const;
-  /// Current anomaly frequency over the sliding window.
+  /// Current anomaly frequency over the sliding window (a running count,
+  /// not a rescan).
   double anomaly_frequency() const;
 
  private:
@@ -130,6 +133,9 @@ class NodeDetector {
   util::ExponentialMeanStd adaptive_;
   util::RingBuffer<bool> crossing_window_;
   util::RingBuffer<double> crossing_energy_;  ///< D_i of crossing samples
+  /// Crossings in crossing_window_, kept in step with every push so a_f
+  /// costs O(1) per sample.
+  std::size_t crossings_ = 0;
   util::RingBuffer<double> envelope_window_;  ///< rectified-sample smoother
   double envelope_sum_ = 0.0;
 

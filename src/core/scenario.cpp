@@ -185,6 +185,7 @@ ScenarioRun simulate_node_reports(const wsn::Network& network,
     NodeDetector detector(config.detector);
     NodeRun node_run;
     node_run.node = info.id;
+    node_run.samples = trace.size();
     node_run.alarms = [&] {
       SID_PROFILE_STAGE(obs::Stage::kDetector);
       return detector.process_trace(trace);

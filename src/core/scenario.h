@@ -66,6 +66,8 @@ struct ScenarioConfig {
 /// Everything one node produced during a scenario run.
 struct NodeRun {
   wsn::NodeId node = 0;
+  /// Trace samples synthesized, every one of which the detector processed.
+  std::size_t samples = 0;
   std::vector<Alarm> alarms;                   ///< true-time alarms
   std::vector<wsn::DetectionReport> reports;   ///< local-clock reports
   /// Hydrophone contacts (true time), after acoustic fault application.

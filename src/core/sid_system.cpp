@@ -127,6 +127,8 @@ SidSystem::SidCounters::SidCounters(obs::Registry& registry)
       true_alarms(registry.counter("detect.true_alarms")),
       false_alarms(registry.counter("detect.false_alarms")),
       missed_wakes(registry.counter("detect.missed_wakes")),
+      samples_synthesized(registry.counter("sense.samples_synthesized")),
+      samples_processed(registry.counter("detect.samples_processed")),
       decision_latency_s(registry.histogram(
           "sid.decision_latency_s",
           {0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 60.0, 120.0, 300.0, 600.0},
@@ -150,6 +152,8 @@ void SidSystem::SidCounters::reset() {
   true_alarms.reset();
   false_alarms.reset();
   missed_wakes.reset();
+  samples_synthesized.reset();
+  samples_processed.reset();
   decision_latency_s.reset();
 }
 
@@ -783,6 +787,10 @@ SystemResult SidSystem::run(std::span<const wake::ShipTrackConfig> ships) {
 
   const ScenarioRun front_end =
       simulate_node_reports(network_, ships, config_.scenario);
+  std::uint64_t samples = 0;
+  for (const auto& node_run : front_end.node_runs) samples += node_run.samples;
+  counters_.samples_synthesized.add(samples);
+  counters_.samples_processed.add(samples);
 
   // Beacon processes run for the sensing window plus slack, so retries
   // and fallback evaluations late in the run still see fresh liveness

@@ -223,6 +223,11 @@ class SidSystem {
     obs::Counter& true_alarms;
     obs::Counter& false_alarms;
     obs::Counter& missed_wakes;
+    /// Front-end work, exact for a seed: trace samples synthesized and
+    /// samples the node detectors processed, added once per run from the
+    /// per-node totals.
+    obs::Counter& samples_synthesized;
+    obs::Counter& samples_processed;
     /// Sim-time seconds from decision creation at a cluster head to
     /// acceptance at the sink (first copy only).
     obs::Histogram& decision_latency_s;

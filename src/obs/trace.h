@@ -196,7 +196,10 @@ class Tracer {
 }  // namespace sid::obs
 
 // Instrumentation-site macro: compiled out with SID_ENABLE_METRICS=OFF.
-// `tracer` is a Tracer*; everything after `cat` forwards to emit().
+// `tracer` is a Tracer*; everything after `cat` forwards to emit(). The
+// compiled-out form keeps the call in a branch that is never taken, so
+// its arguments count as used (no unused-parameter warnings) but are
+// never evaluated.
 #if SID_METRICS_ENABLED
 #define SID_TRACE(tracer, cat, ...)                        \
   do {                                                     \
@@ -206,5 +209,10 @@ class Tracer {
     }                                                      \
   } while (0)
 #else
-#define SID_TRACE(tracer, cat, ...) ((void)0)
+#define SID_TRACE(tracer, cat, ...)                        \
+  do {                                                     \
+    if (false) {                                           \
+      static_cast<::sid::obs::Tracer*>(tracer)->emit(cat, __VA_ARGS__); \
+    }                                                      \
+  } while (0)
 #endif

@@ -41,40 +41,133 @@ constexpr double kPio2Lo = 2.02226624871116645580e-21;
 // the low mantissa bits of the sum.
 constexpr double kRoundShift = 0x1.8p52;
 
+// sin(x) and cos(x): a Cody–Waite reduction by pi/2 and fdlibm's
+// polynomials. The one body `sincos_batch` and the block kernel inline.
+[[gnu::always_inline]] inline void sincos_one(double x, double& sin_x,
+                                              double& cos_x) {
+  // x = q * pi/2 + r with q the nearest integer and |r| <= pi/4 (up to
+  // rounding; the polynomials stay accurate just past pi/4).
+  const double shifted = x * kTwoOverPi + kRoundShift;
+  const double q = shifted - kRoundShift;
+  const double r = ((x - q * kPio2Hi) - q * kPio2Mid) - q * kPio2Lo;
+  const double z = r * r;
+  const double w = z * z;
+  const double sin_poly = kS2 + z * (kS3 + z * kS4) + z * w * (kS5 + z * kS6);
+  const double v = z * r;
+  const double sin_r = r + v * (kS1 + z * sin_poly);
+  const double cos_poly =
+      z * (kC1 + z * (kC2 + z * kC3)) + w * w * (kC4 + z * (kC5 + z * kC6));
+  const double half_z = 0.5 * z;
+  const double one_minus = 1.0 - half_z;
+  const double cos_r =
+      one_minus + (((1.0 - one_minus) - half_z) + z * cos_poly);
+  // Quadrant q mod 4 from the low bits: odd q swaps sin and cos, q = 2, 3
+  // negate sin and q = 1, 2 negate cos.
+  const auto quadrant = std::bit_cast<std::uint64_t>(shifted);
+  const std::uint64_t swap = 0 - (quadrant & 1);
+  const auto sin_bits = std::bit_cast<std::uint64_t>(sin_r);
+  const auto cos_bits = std::bit_cast<std::uint64_t>(cos_r);
+  sin_x = std::bit_cast<double>(((sin_bits & ~swap) | (cos_bits & swap)) ^
+                                ((quadrant & 2) << 62));
+  cos_x = std::bit_cast<double>(((cos_bits & ~swap) | (sin_bits & swap)) ^
+                                (((quadrant + 1) & 2) << 62));
+}
+
+// GCC on x86-64 Linux compiles the kernels below once per ISA and the
+// dynamic loader picks the widest the host runs (an ifunc). Each clone
+// computes the same bits only because src/CMakeLists.txt compiles with
+// -ffp-contract=off: the avx512f clones would otherwise fuse multiply-adds
+// (DESIGN.md §5g). Other compilers and targets compile the plain function,
+// and so do ThreadSanitizer builds: GCC instruments the ifunc resolver,
+// which the loader runs before the TSan runtime is up, and the program
+// crashes at startup.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
+    defined(__linux__) && !defined(__SANITIZE_THREAD__)
+#define SID_ISA_CLONES \
+  __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define SID_ISA_CLONES
+#endif
+
+/// A field's component arrays, as the block kernels read them.
+struct ComponentView {
+  const double* amplitude_m;
+  const double* omega;
+  const double* wavenumber;
+  const double* phase;
+  const double* dir_cos;
+  const double* dir_sin;
+  std::size_t count;
+};
+
+/// Up to kSampleBlock samples in structure-of-arrays form: positions and
+/// times in, accelerations out.
+struct SampleBlock {
+  std::array<double, kSampleBlock> x;
+  std::array<double, kSampleBlock> y;
+  std::array<double, kSampleBlock> t;
+  std::array<double, kSampleBlock> ax;
+  std::array<double, kSampleBlock> ay;
+  std::array<double, kSampleBlock> az;
+};
+
+// The one acceleration formula. Components run in the outer loop and the
+// first n samples of `b` in the inner one, so each sample starts its sums
+// at 0 and adds components 0..N-1 in order with the same expressions as a
+// one-sample call, while the inner loop vectorizes across samples.
+template <bool kUseKernel>
+[[gnu::always_inline]] inline void accumulate(const ComponentView& c,
+                                              SampleBlock& b, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    b.ax[j] = 0.0;
+    b.ay[j] = 0.0;
+    b.az[j] = 0.0;
+  }
+  for (std::size_t i = 0; i < c.count; ++i) {
+    const double wavenumber = c.wavenumber[i];
+    const double omega = c.omega[i];
+    const double phase0 = c.phase[i];
+    const double dir_cos = c.dir_cos[i];
+    const double dir_sin = c.dir_sin[i];
+    const double w2a = omega * omega * c.amplitude_m[i];
+    for (std::size_t j = 0; j < n; ++j) {
+      const double kx = wavenumber * (dir_cos * b.x[j] + dir_sin * b.y[j]);
+      const double phase = kx - omega * b.t[j] + phase0;
+      double sin_phase = 0.0;
+      double cos_phase = 0.0;
+      if constexpr (kUseKernel) {
+        sincos_one(phase, sin_phase, cos_phase);
+      } else {
+        sin_phase = std::sin(phase);
+        cos_phase = std::cos(phase);
+      }
+      // Airy theory at the surface (z = 0): vertical particle acceleration
+      // -w^2 * A * cos(phase); horizontal +w^2 * A * sin(phase) along the
+      // propagation direction.
+      b.az[j] += -w2a * cos_phase;
+      const double horizontal = w2a * sin_phase;
+      b.ax[j] += horizontal * dir_cos;
+      b.ay[j] += horizontal * dir_sin;
+    }
+  }
+}
+
+SID_ISA_CLONES void accumulate_kernel(const ComponentView& c, SampleBlock& b,
+                                      std::size_t n) {
+  accumulate<true>(c, b, n);
+}
+
+void accumulate_libm(const ComponentView& c, SampleBlock& b, std::size_t n) {
+  accumulate<false>(c, b, n);
+}
+
 }  // namespace
 
-void sincos_batch(const double* __restrict phase, double* __restrict sin_out,
-                  double* __restrict cos_out, std::size_t n) {
+SID_ISA_CLONES void sincos_batch(const double* __restrict phase,
+                                 double* __restrict sin_out,
+                                 double* __restrict cos_out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    const double x = phase[i];
-    // x = q * pi/2 + r with q the nearest integer and |r| <= pi/4 (up to
-    // rounding; the polynomials stay accurate just past pi/4).
-    const double shifted = x * kTwoOverPi + kRoundShift;
-    const double q = shifted - kRoundShift;
-    const double r = ((x - q * kPio2Hi) - q * kPio2Mid) - q * kPio2Lo;
-    const double z = r * r;
-    const double w = z * z;
-    const double sin_poly =
-        kS2 + z * (kS3 + z * kS4) + z * w * (kS5 + z * kS6);
-    const double v = z * r;
-    const double sin_r = r + v * (kS1 + z * sin_poly);
-    const double cos_poly =
-        z * (kC1 + z * (kC2 + z * kC3)) + w * w * (kC4 + z * (kC5 + z * kC6));
-    const double half_z = 0.5 * z;
-    const double one_minus = 1.0 - half_z;
-    const double cos_r =
-        one_minus + (((1.0 - one_minus) - half_z) + z * cos_poly);
-    // Quadrant q mod 4 from the low bits: odd q swaps sin and cos, q = 2, 3
-    // negate sin and q = 1, 2 negate cos.
-    const auto quadrant = std::bit_cast<std::uint64_t>(shifted);
-    const std::uint64_t swap = 0 - (quadrant & 1);
-    const auto sin_bits = std::bit_cast<std::uint64_t>(sin_r);
-    const auto cos_bits = std::bit_cast<std::uint64_t>(cos_r);
-    sin_out[i] = std::bit_cast<double>(
-        ((sin_bits & ~swap) | (cos_bits & swap)) ^ ((quadrant & 2) << 62));
-    cos_out[i] = std::bit_cast<double>(((cos_bits & ~swap) |
-                                        (sin_bits & swap)) ^
-                                       (((quadrant + 1) & 2) << 62));
+    sincos_one(phase[i], sin_out[i], cos_out[i]);
   }
 }
 
@@ -165,71 +258,78 @@ std::vector<WaveComponent> WaveField::components() const {
   return out;
 }
 
-template <typename Term>
-void WaveField::for_each_phase(util::Vec2 p, double t, Term&& term) const {
-  // The kernel runs over blocks of phases in stack buffers, which keeps
-  // the call allocation-free and safe to share across threads.
-  constexpr std::size_t kBlock = 64;
-  std::array<double, kBlock> phase{};
-  std::array<double, kBlock> sin_phase{};
-  std::array<double, kBlock> cos_phase{};
-  // Every phase below is at most `bound` in magnitude. A NaN p or t makes
-  // the bound NaN, which fails the comparison and also takes libm.
+bool WaveField::in_kernel_range(util::Vec2 p, double t) const {
+  // Every phase is at most `bound` in magnitude.
   const double bound = max_wavenumber_ * (std::abs(p.x) + std::abs(p.y)) +
                        max_omega_ * std::abs(t) + 2.0 * std::numbers::pi;
-  const bool use_kernel = bound <= kSinCosMaxPhase;
-  const std::size_t n = omega_.size();
-  for (std::size_t begin = 0; begin < n; begin += kBlock) {
-    const std::size_t m = std::min(kBlock, n - begin);
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::size_t i = begin + j;
-      const double kx =
-          wavenumber_[i] * (dir_cos_[i] * p.x + dir_sin_[i] * p.y);
-      phase[j] = kx - omega_[i] * t + phase_[i];
-    }
-    if (use_kernel) {
-      sincos_batch(phase.data(), sin_phase.data(), cos_phase.data(), m);
-    } else {
-      for (std::size_t j = 0; j < m; ++j) {
-        sin_phase[j] = std::sin(phase[j]);
-        cos_phase[j] = std::cos(phase[j]);
-      }
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-      term(begin + j, sin_phase[j], cos_phase[j]);
-    }
-  }
+  return bound <= kSinCosMaxPhase;
 }
 
 double WaveField::elevation(util::Vec2 p, double t) const {
+  const bool use_kernel = in_kernel_range(p, t);
   double eta = 0.0;
-  for_each_phase(p, t, [&](std::size_t i, double, double cos_phase) {
+  for (std::size_t i = 0; i < omega_.size(); ++i) {
+    const double kx = wavenumber_[i] * (dir_cos_[i] * p.x + dir_sin_[i] * p.y);
+    const double phase = kx - omega_[i] * t + phase_[i];
+    double sin_phase = 0.0;
+    double cos_phase = 0.0;
+    if (use_kernel) {
+      sincos_one(phase, sin_phase, cos_phase);
+    } else {
+      cos_phase = std::cos(phase);
+    }
     eta += amplitude_m_[i] * cos_phase;
-  });
+  }
   return eta;
 }
 
 Accel3 WaveField::acceleration(util::Vec2 p, double t) const {
   Accel3 a;
-  for_each_phase(p, t, [&](std::size_t i, double sin_phase, double cos_phase) {
-    const double w2a = omega_[i] * omega_[i] * amplitude_m_[i];
-    // Airy theory at the surface (z = 0): vertical particle acceleration
-    // -w^2 * A * cos(phase); horizontal +w^2 * A * sin(phase) along the
-    // propagation direction.
-    a.az += -w2a * cos_phase;
-    const double horizontal = w2a * sin_phase;
-    a.ax += horizontal * dir_cos_[i];
-    a.ay += horizontal * dir_sin_[i];
-  });
+  acceleration(std::span(&p, 1), std::span(&t, 1), std::span(&a, 1));
   return a;
 }
 
-double WaveField::vertical_acceleration(util::Vec2 p, double t) const {
-  double az = 0.0;
-  for_each_phase(p, t, [&](std::size_t i, double, double cos_phase) {
-    az += -omega_[i] * omega_[i] * amplitude_m_[i] * cos_phase;
-  });
-  return az;
+void WaveField::acceleration(std::span<const util::Vec2> p,
+                             std::span<const double> t,
+                             std::span<Accel3> out) const {
+  util::require(t.size() == p.size() && out.size() == p.size(),
+                "WaveField::acceleration: spans differ in size");
+  const ComponentView components{.amplitude_m = amplitude_m_.data(),
+                                 .omega = omega_.data(),
+                                 .wavenumber = wavenumber_.data(),
+                                 .phase = phase_.data(),
+                                 .dir_cos = dir_cos_.data(),
+                                 .dir_sin = dir_sin_.data(),
+                                 .count = omega_.size()};
+  // Stack buffers keep the call allocation-free and safe to share across
+  // threads.
+  SampleBlock block{};
+  for (std::size_t begin = 0; begin < p.size(); begin += kSampleBlock) {
+    const std::size_t n = std::min(kSampleBlock, p.size() - begin);
+    std::size_t in_range = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      block.x[j] = p[begin + j].x;
+      block.y[j] = p[begin + j].y;
+      block.t[j] = t[begin + j];
+      if (in_kernel_range(p[begin + j], t[begin + j])) ++in_range;
+    }
+    if (in_range == n) {
+      accumulate_kernel(components, block, n);
+    } else if (in_range == 0) {
+      accumulate_libm(components, block, n);
+    } else {
+      // The range guard decides per sample: a block that straddles it
+      // goes one sample at a time.
+      for (std::size_t j = begin; j < begin + n; ++j) {
+        acceleration(p.subspan(j, 1), t.subspan(j, 1), out.subspan(j, 1));
+      }
+      continue;
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      out[begin + j] = {
+          .ax = block.ax[j], .ay = block.ay[j], .az = block.az[j]};
+    }
+  }
 }
 
 double WaveField::elevation_variance() const {

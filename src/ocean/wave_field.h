@@ -9,13 +9,16 @@
 // quantity the paper's accelerometer actually measures.
 //
 // Every evaluation turns one phase per component into a sine and a cosine
-// through `sincos_batch`, a vectorizable kernel that agrees with libm to
-// within 2^-51 for |phase| <= kSinCosMaxPhase; calls that could exceed
-// that range use std::sin/std::cos instead.
+// with a vectorizable kernel that agrees with libm to within 2^-51 for
+// |phase| <= kSinCosMaxPhase; samples whose phases could exceed that range
+// use std::sin/std::cos instead. Accelerations are evaluated over blocks
+// of samples, vectorized across the samples of a block, with the bits of
+// a one-sample evaluation (DESIGN.md §5g).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ocean/wave_spectrum.h"
@@ -64,6 +67,10 @@ struct WaveComponent {
 /// libm: about 14 h of trace at the 3 Hz top component.
 inline constexpr double kSinCosMaxPhase = 1e6;
 
+/// Samples the block form of `WaveField::acceleration` evaluates at once
+/// (and `generate_trace` steps its buoy through per block).
+inline constexpr std::size_t kSampleBlock = 64;
+
 /// Writes sin(phase[i]) and cos(phase[i]) for i < n. Within 2^-51 of
 /// std::sin/std::cos for |phase[i]| <= kSinCosMaxPhase (a Cody–Waite
 /// reduction by pi/2 and fdlibm's polynomials); less accurate beyond.
@@ -81,11 +88,15 @@ class WaveField {
   double elevation(util::Vec2 p, double t) const;
 
   /// Surface particle acceleration at `p`, `t` (deep-water Airy theory,
-  /// evaluated at the mean surface level).
+  /// evaluated at the mean surface level): the block form with n = 1.
   Accel3 acceleration(util::Vec2 p, double t) const;
 
-  /// Vertical acceleration only (the component the detector uses).
-  double vertical_acceleration(util::Vec2 p, double t) const;
+  /// Block form: out[j] = acceleration(p[j], t[j]) for every j, bit for
+  /// bit. Each sample sums its components 0..N-1 in order; the loop over
+  /// the samples of a block is the one that vectorizes. The spans must
+  /// have equal sizes.
+  void acceleration(std::span<const util::Vec2> p, std::span<const double> t,
+                    std::span<Accel3> out) const;
 
   /// The components, assembled from the per-field arrays.
   std::vector<WaveComponent> components() const;
@@ -95,10 +106,10 @@ class WaveField {
   double elevation_variance() const;
 
  private:
-  /// Calls `term(i, sin(phase_i), cos(phase_i))` for every component i in
-  /// order, where phase_i is the component's phase at `p`, `t`.
-  template <typename Term>
-  void for_each_phase(util::Vec2 p, double t, Term&& term) const;
+  /// True when every component phase at `p`, `t` lies within
+  /// kSinCosMaxPhase, so the kernel may evaluate it. A NaN `p` or `t`
+  /// fails the test and takes libm.
+  bool in_kernel_range(util::Vec2 p, double t) const;
 
   // One array per WaveComponent field (structure of arrays), so the phase
   // and sin/cos loops vectorize.

@@ -51,7 +51,8 @@ void Buoy::step(double dt) {
   }
 }
 
-AccelG Buoy::sense(const ocean::Accel3& surface_accel_mps2) const {
+AccelG Buoy::sense(const ocean::Accel3& surface_accel_mps2, double roll_rad,
+                   double pitch_rad) {
   // Specific force in the world frame (the accelerometer measures the
   // reaction to gravity plus kinematic acceleration).
   const double fx = surface_accel_mps2.ax;
@@ -59,8 +60,8 @@ AccelG Buoy::sense(const ocean::Accel3& surface_accel_mps2) const {
   const double fz = surface_accel_mps2.az + util::kGravity;
 
   // Rotate world -> sensor with R = Rx(roll) * Ry(pitch); v_s = R^T v_w.
-  const double cr = std::cos(roll_), sr = std::sin(roll_);
-  const double cp = std::cos(pitch_), sp = std::sin(pitch_);
+  const double cr = std::cos(roll_rad), sr = std::sin(roll_rad);
+  const double cp = std::cos(pitch_rad), sp = std::sin(pitch_rad);
   // v1 = Rx^T * v_w
   const double v1x = fx;
   const double v1y = cr * fy + sr * fz;

@@ -46,8 +46,11 @@ class Buoy {
   double pitch_rad() const { return pitch_; }
 
   /// Maps a true surface acceleration (m/s^2, z excluding gravity) into
-  /// sensor-frame axes in g, including gravity and the tilt leakage.
-  AccelG sense(const ocean::Accel3& surface_accel_mps2) const;
+  /// sensor-frame axes in g, including gravity and the leakage of a buoy
+  /// tilted by `roll_rad` and `pitch_rad` (a sample's roll_rad() and
+  /// pitch_rad()).
+  static AccelG sense(const ocean::Accel3& surface_accel_mps2,
+                      double roll_rad, double pitch_rad);
 
   const BuoyConfig& config() const { return config_; }
 

@@ -1,6 +1,7 @@
 #include "sensing/trace.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <optional>
 
@@ -71,68 +72,91 @@ SensorTrace generate_trace(const ocean::WaveField& field,
   }
 
   std::optional<CountSample> stuck;  // frozen reading for kStuckAt
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = config.start_time_s + static_cast<double>(i) * dt;
-    buoy.step(dt);
-    ocean::Accel3 a = field.acceleration(buoy.position(), t);
-    for (const auto& train : trains) {
-      const double wz = train.vertical_acceleration(t);
-      a.az += wz;
-      // Oblique arrival: part of the train's motion shows up horizontally,
-      // split between the axes by the wake side.
-      const double wh = config.wake_horizontal_fraction * wz;
-      a.ax += wh * 0.7 * train.params().side;
-      a.ay += wh * 0.3;
+  // Blocks of kSampleBlock samples: step the buoy through the block, then
+  // evaluate the wave field over it, then run the rest of each sample in
+  // order. The buoy, slam and accelerometer draw from separate RNG
+  // streams, so no stream's draw order changes. The buffers stay on the
+  // stack, block-sized.
+  constexpr std::size_t kBlock = ocean::kSampleBlock;
+  std::array<util::Vec2, kBlock> position{};
+  std::array<double, kBlock> time{};
+  std::array<double, kBlock> roll{};
+  std::array<double, kBlock> pitch{};
+  std::array<ocean::Accel3, kBlock> field_accel{};
+  for (std::size_t begin = 0; begin < n; begin += kBlock) {
+    const std::size_t m = std::min(kBlock, n - begin);
+    for (std::size_t j = 0; j < m; ++j) {
+      time[j] = config.start_time_s + static_cast<double>(begin + j) * dt;
+      buoy.step(dt);
+      position[j] = buoy.position();
+      roll[j] = buoy.roll_rad();
+      pitch[j] = buoy.pitch_rad();
     }
-    if (use_response) {
-      a.ax = response[0].process(a.ax);
-      a.ay = response[1].process(a.ay);
-      a.az = response[2].process(a.az);
-    }
-    AccelG g = buoy.sense(a);
-    if (config.slam_noise_g > 0.0) {
-      g.x += slam_rng.normal(0.0, 2.0 * config.slam_noise_g);
-      g.y += slam_rng.normal(0.0, 2.0 * config.slam_noise_g);
-      g.z += slam_rng.normal(0.0, config.slam_noise_g);
-    }
-    const bool faulty = config.fault.mode != SensorFaultMode::kNone &&
-                        t >= config.fault.start_s;
-    if (faulty) {
-      switch (config.fault.mode) {
-        case SensorFaultMode::kGainDrift: {
-          // Sensitivity drift scales everything the ADC sees, gravity
-          // included, so the z rest level wanders with the gain.
-          const double gain = std::max(
-              0.0, 1.0 + config.fault.gain_drift_per_s *
-                             (t - config.fault.start_s));
-          g.x *= gain;
-          g.y *= gain;
-          g.z *= gain;
-          break;
-        }
-        case SensorFaultMode::kSaturation: {
-          const double lim = config.fault.saturation_g;
-          g.x = std::clamp(g.x, -lim, lim);
-          g.y = std::clamp(g.y, -lim, lim);
-          g.z = std::clamp(g.z, -lim, lim);
-          break;
-        }
-        case SensorFaultMode::kStuckAt:
-        case SensorFaultMode::kNone:
-          break;
+    field.acceleration(std::span(position.data(), m),
+                       std::span(time.data(), m),
+                       std::span(field_accel.data(), m));
+    for (std::size_t j = 0; j < m; ++j) {
+      const double t = time[j];
+      ocean::Accel3 a = field_accel[j];
+      for (const auto& train : trains) {
+        const double wz = train.vertical_acceleration(t);
+        a.az += wz;
+        // Oblique arrival: part of the train's motion shows up
+        // horizontally, split between the axes by the wake side.
+        const double wh = config.wake_horizontal_fraction * wz;
+        a.ax += wh * 0.7 * train.params().side;
+        a.ay += wh * 0.3;
       }
-    }
-    CountSample counts = accel.sample(g);
-    if (faulty && config.fault.mode == SensorFaultMode::kStuckAt) {
-      if (stuck) {
-        counts = *stuck;
-      } else {
-        stuck = counts;  // freeze at the first faulty reading
+      if (use_response) {
+        a.ax = response[0].process(a.ax);
+        a.ay = response[1].process(a.ay);
+        a.az = response[2].process(a.az);
       }
+      AccelG g = Buoy::sense(a, roll[j], pitch[j]);
+      if (config.slam_noise_g > 0.0) {
+        g.x += slam_rng.normal(0.0, 2.0 * config.slam_noise_g);
+        g.y += slam_rng.normal(0.0, 2.0 * config.slam_noise_g);
+        g.z += slam_rng.normal(0.0, config.slam_noise_g);
+      }
+      const bool faulty = config.fault.mode != SensorFaultMode::kNone &&
+                          t >= config.fault.start_s;
+      if (faulty) {
+        switch (config.fault.mode) {
+          case SensorFaultMode::kGainDrift: {
+            // Sensitivity drift scales everything the ADC sees, gravity
+            // included, so the z rest level wanders with the gain.
+            const double gain = std::max(
+                0.0, 1.0 + config.fault.gain_drift_per_s *
+                               (t - config.fault.start_s));
+            g.x *= gain;
+            g.y *= gain;
+            g.z *= gain;
+            break;
+          }
+          case SensorFaultMode::kSaturation: {
+            const double lim = config.fault.saturation_g;
+            g.x = std::clamp(g.x, -lim, lim);
+            g.y = std::clamp(g.y, -lim, lim);
+            g.z = std::clamp(g.z, -lim, lim);
+            break;
+          }
+          case SensorFaultMode::kStuckAt:
+          case SensorFaultMode::kNone:
+            break;
+        }
+      }
+      CountSample counts = accel.sample(g);
+      if (faulty && config.fault.mode == SensorFaultMode::kStuckAt) {
+        if (stuck) {
+          counts = *stuck;
+        } else {
+          stuck = counts;  // freeze at the first faulty reading
+        }
+      }
+      trace.x.push_back(counts.x);
+      trace.y.push_back(counts.y);
+      trace.z.push_back(counts.z);
     }
-    trace.x.push_back(counts.x);
-    trace.y.push_back(counts.y);
-    trace.z.push_back(counts.z);
   }
   // Synthesis boundary: the trace is what the node detector consumes, so a
   // NaN/Inf sneaking out of the ocean/wake/buoy chain must stop here.

@@ -6,13 +6,23 @@
 // envelope detector degenerate-sensitive and tests nothing meaningful.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <optional>
 #include <vector>
 
 #include "core/node_detector.h"
+#include "ocean/wave_field.h"
+#include "ocean/wave_spectrum.h"
+#include "sensing/trace.h"
+#include "shipwave/ship.h"
+#include "shipwave/wave_train.h"
 #include "util/error.h"
+#include "util/ring_buffer.h"
 #include "util/rng.h"
+#include "util/stats.h"
+#include "util/units.h"
 
 namespace sid::core {
 namespace {
@@ -292,6 +302,238 @@ TEST(NodeDetectorTest, RejectsBadConfig) {
   cfg = {};
   cfg.storm_adaptation_beta = 0.0;
   EXPECT_THROW(NodeDetector{cfg}, util::InvalidArgument);
+}
+
+// ------------------------------------------ rescanning reference
+
+// NodeDetector::process_sample as it was before the running crossing
+// count: every sample rescans the whole anomaly window for the count, the
+// energy sum and the peak.
+class ReferenceDetector {
+ public:
+  explicit ReferenceDetector(const NodeDetectorConfig& config)
+      : config_(config),
+        filter_(dsp::butterworth_lowpass(kLowpassOrder, kLowpassCutoffHz,
+                                         config.sample_rate_hz)),
+        adaptive_(config.beta1, config.beta2),
+        crossing_window_(kAnomalyWindowSamples),
+        crossing_energy_(kAnomalyWindowSamples),
+        envelope_window_(kEnvelopeSmoothSamples),
+        warmup_remaining_(config.warmup_samples) {}
+
+  double anomaly_frequency() const {
+    if (crossing_window_.empty()) return 0.0;
+    std::size_t crossings = 0;
+    for (std::size_t i = 0; i < crossing_window_.size(); ++i) {
+      if (crossing_window_.at(i)) ++crossings;
+    }
+    return static_cast<double>(crossings) /
+           static_cast<double>(crossing_window_.size());
+  }
+
+  std::optional<Alarm> process_sample(double z_counts, double t) {
+    if (!primed_) {
+      filter_.prime(z_counts);
+      primed_ = true;
+    }
+    const double filtered = filter_.process(z_counts);
+    if (warmup_remaining_ > 0) {
+      --warmup_remaining_;
+      return std::nullopt;
+    }
+    const double rectified = std::abs(filtered - sense::kCountsPerG);
+    if (envelope_window_.full()) {
+      envelope_sum_ -= envelope_window_.oldest();
+    }
+    envelope_window_.push(rectified);
+    envelope_sum_ += rectified;
+    const double a_i =
+        envelope_sum_ / static_cast<double>(envelope_window_.size());
+
+    if (!armed_) {
+      init_buffer_.push_back(a_i);
+      if (init_buffer_.size() >= config_.init_samples_u) {
+        adaptive_.update(util::compute_batch_stats(init_buffer_));
+        init_buffer_.clear();
+        armed_ = true;
+      }
+      return std::nullopt;
+    }
+
+    const double d_i = a_i - adaptive_.mean();
+    const double d_max = config_.threshold_multiplier_m * adaptive_.stddev();
+    const bool crossed = d_i > d_max;
+
+    crossing_window_.push(crossed);
+    crossing_energy_.push(crossed ? d_i : 0.0);
+
+    if (crossed) {
+      if (first_crossing_time_ < 0.0) first_crossing_time_ = t;
+    } else {
+      normal_batch_.push_back(a_i);
+      if (normal_batch_.size() >= config_.update_batch_samples) {
+        adaptive_.update(util::compute_batch_stats(normal_batch_));
+        normal_batch_.clear();
+      }
+    }
+
+    if (config_.storm_adaptation_beta < 1.0) {
+      all_batch_.push_back(a_i);
+      if (all_batch_.size() >= config_.update_batch_samples) {
+        const auto stats = util::compute_batch_stats(all_batch_);
+        adaptive_.update_with_beta(stats.mean, stats.stddev,
+                                   config_.storm_adaptation_beta);
+        all_batch_.clear();
+      }
+    }
+
+    if (!crossing_window_.full()) return std::nullopt;
+
+    std::size_t crossings = 0;
+    double energy_sum = 0.0;
+    double energy_peak = 0.0;
+    for (std::size_t i = 0; i < crossing_window_.size(); ++i) {
+      if (crossing_window_.at(i)) {
+        ++crossings;
+        energy_sum += crossing_energy_.at(i);
+        energy_peak = std::max(energy_peak, crossing_energy_.at(i));
+      }
+    }
+    const double a_f = static_cast<double>(crossings) /
+                       static_cast<double>(crossing_window_.size());
+
+    if (crossings == 0) {
+      first_crossing_time_ = -1.0;
+      return std::nullopt;
+    }
+
+    if (a_f < config_.anomaly_frequency_threshold) return std::nullopt;
+    if (last_alarm_time_ >= 0.0 &&
+        t - last_alarm_time_ < config_.refractory_s) {
+      return std::nullopt;
+    }
+
+    Alarm alarm;
+    alarm.onset_time_s =
+        first_crossing_time_ >= 0.0 ? first_crossing_time_ : t;
+    alarm.trigger_time_s = t;
+    alarm.anomaly_frequency = a_f;
+    alarm.average_energy = energy_sum / static_cast<double>(crossings);
+    alarm.peak_energy = energy_peak;
+    last_alarm_time_ = t;
+    return alarm;
+  }
+
+ private:
+  NodeDetectorConfig config_;
+  dsp::IirCascade filter_;
+  util::ExponentialMeanStd adaptive_;
+  util::RingBuffer<bool> crossing_window_;
+  util::RingBuffer<double> crossing_energy_;
+  util::RingBuffer<double> envelope_window_;
+  double envelope_sum_ = 0.0;
+  std::vector<double> init_buffer_;
+  std::vector<double> normal_batch_;
+  std::vector<double> all_batch_;
+  std::size_t warmup_remaining_ = 0;
+  bool primed_ = false;
+  bool armed_ = false;
+  double first_crossing_time_ = -1.0;
+  double last_alarm_time_ = -1.0;
+};
+
+/// Feeds `samples` to the detector and the reference side by side and
+/// requires the same alarms, every field equal, and the same a_f after
+/// every sample. Returns the number of alarms.
+std::size_t expect_matches_reference(const NodeDetectorConfig& cfg,
+                                     const std::vector<double>& samples) {
+  NodeDetector det(cfg);
+  ReferenceDetector ref(cfg);
+  std::size_t alarms = 0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const double t = static_cast<double>(i) / cfg.sample_rate_hz;
+    const auto got = det.process_sample(samples[i], t);
+    const auto want = ref.process_sample(samples[i], t);
+    EXPECT_EQ(got.has_value(), want.has_value()) << "sample " << i;
+    if (got && want) {
+      EXPECT_EQ(got->onset_time_s, want->onset_time_s) << "sample " << i;
+      EXPECT_EQ(got->trigger_time_s, want->trigger_time_s) << "sample " << i;
+      EXPECT_EQ(got->anomaly_frequency, want->anomaly_frequency)
+          << "sample " << i;
+      EXPECT_EQ(got->average_energy, want->average_energy) << "sample " << i;
+      EXPECT_EQ(got->peak_energy, want->peak_energy) << "sample " << i;
+      ++alarms;
+    }
+    EXPECT_EQ(det.anomaly_frequency(), ref.anomaly_frequency())
+        << "sample " << i;
+    if (::testing::Test::HasFailure()) break;
+  }
+  return alarms;
+}
+
+TEST(NodeDetectorReferenceTest, RealTracesMatchRescanningReference) {
+  // Synthesized buoy traces in three sea states, with a ship crossing
+  // near the buoy, at the default configuration and at M = 1 (many
+  // crossings and alarms).
+  wake::ShipTrackConfig ship;
+  ship.start = {0.0, -300.0};
+  ship.heading_rad = std::numbers::pi / 2;
+  ship.speed_mps = util::knots_to_mps(12.0);
+  const wake::ShipTrack track(ship);
+  const util::Vec2 anchor{25.0, 0.0};
+  const auto train = wake::make_wake_train(track, anchor);
+  ASSERT_TRUE(train.has_value());
+  const std::vector<wake::WakeTrain> trains{*train};
+  std::size_t alarms = 0;
+  std::uint64_t seed = 3;
+  for (const auto sea : {ocean::SeaState::kCalm, ocean::SeaState::kModerate,
+                         ocean::SeaState::kRough}) {
+    const auto spectrum = ocean::make_sea_spectrum(sea);
+    ocean::WaveFieldConfig field_cfg;
+    field_cfg.seed = seed;
+    const ocean::WaveField field(*spectrum, field_cfg);
+    sense::TraceConfig trace_cfg;
+    trace_cfg.duration_s = 240.0;
+    trace_cfg.buoy.anchor = anchor;
+    trace_cfg.buoy.seed = seed * 7919 + 1;
+    trace_cfg.accel.seed = seed * 104729;
+    const auto trace = sense::generate_trace(field, trains, trace_cfg);
+    for (const double m : {1.0, 2.0}) {
+      NodeDetectorConfig cfg;
+      cfg.threshold_multiplier_m = m;
+      SCOPED_TRACE(testing::Message() << "sea " << static_cast<int>(sea)
+                                      << ", M " << m);
+      alarms += expect_matches_reference(cfg, trace.z);
+    }
+    ++seed;
+  }
+  EXPECT_GT(alarms, 3u);
+}
+
+TEST(NodeDetectorReferenceTest,
+     RandomCrossingPatternsMatchRescanningReference) {
+  // Bursts of random length and strength on a swell, under random M, a_f
+  // thresholds and refractory times, so the window fills and drains in
+  // irregular patterns and alarms fire often.
+  util::Rng rng(2024);
+  std::size_t alarms = 0;
+  for (int round = 0; round < 12; ++round) {
+    StreamBuilder sb;
+    sb.rng = util::Rng(static_cast<std::uint64_t>(round) + 100);
+    sb.add_sea(15.0);
+    for (int k = 0; k < 30; ++k) {
+      sb.add_burst(rng.uniform(0.1, 4.0), rng.uniform(0.0, 500.0),
+                   rng.uniform(0.3, 1.2));
+      sb.add_sea(rng.uniform(0.0, 3.0));
+    }
+    auto cfg = quick_config();
+    cfg.threshold_multiplier_m = rng.uniform(1.0, 3.0);
+    cfg.anomaly_frequency_threshold = rng.uniform(0.05, 1.0);
+    cfg.refractory_s = rng.uniform(0.0, 5.0);
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    alarms += expect_matches_reference(cfg, sb.samples);
+  }
+  EXPECT_GT(alarms, 30u);
 }
 
 // ------------------------------------------ parameterized: M sweep

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "dsp/spectrum.h"
 #include "ocean/wave_field.h"
@@ -178,17 +179,28 @@ TEST(WaveFieldTest, VerticalAccelerationMatchesSecondDerivative) {
         (field.elevation(p, t + dt) - 2.0 * field.elevation(p, t) +
          field.elevation(p, t - dt)) /
         (dt * dt);
-    EXPECT_NEAR(field.vertical_acceleration(p, t), numeric, 0.05);
+    EXPECT_NEAR(field.acceleration(p, t).az, numeric, 0.05);
   }
 }
 
 TEST(WaveFieldTest, AccelerationStructMatchesScalarPath) {
+  // The single-point call and every slot of a block call agree bit for
+  // bit, wherever the sample sits in the block.
   const auto spectrum = make_sea_spectrum(SeaState::kModerate);
   const WaveField field(*spectrum, {});
-  const util::Vec2 p{1.0, 2.0};
-  for (double t : {0.0, 7.7, 31.4}) {
-    EXPECT_NEAR(field.acceleration(p, t).az, field.vertical_acceleration(p, t),
-                1e-12);
+  std::vector<util::Vec2> p;
+  std::vector<double> t;
+  for (int j = 0; j < 70; ++j) {
+    p.push_back({1.0 + 0.3 * j, 2.0 - 0.1 * j});
+    t.push_back(0.02 * j + 7.7);
+  }
+  std::vector<Accel3> block(p.size());
+  field.acceleration(p, t, block);
+  for (std::size_t j = 0; j < p.size(); ++j) {
+    const Accel3 one = field.acceleration(p[j], t[j]);
+    EXPECT_EQ(block[j].ax, one.ax) << j;
+    EXPECT_EQ(block[j].ay, one.ay) << j;
+    EXPECT_EQ(block[j].az, one.az) << j;
   }
 }
 

@@ -138,10 +138,12 @@ TEST(BuoyTest, LevelBuoySensesGravityPlusHeave) {
   cfg.tilt_stddev_rad = 0.0;
   cfg.drift_radius_m = 0.0;
   Buoy buoy(cfg);
-  const auto g = buoy.sense({0.0, 0.0, 0.0});
+  const auto g = Buoy::sense({0.0, 0.0, 0.0}, buoy.roll_rad(),
+                             buoy.pitch_rad());
   EXPECT_NEAR(g.z, 1.0, 1e-12);
   EXPECT_NEAR(g.x, 0.0, 1e-12);
-  const auto up = buoy.sense({0.0, 0.0, 2.0});
+  const auto up = Buoy::sense({0.0, 0.0, 2.0}, buoy.roll_rad(),
+                              buoy.pitch_rad());
   EXPECT_NEAR(up.z, 1.0 + 2.0 / util::kGravity, 1e-12);
 }
 
@@ -155,7 +157,8 @@ TEST(BuoyTest, TiltLeaksGravityIntoHorizontalAxes) {
   double max_xy = 0.0;
   for (int i = 0; i < 5000; ++i) {
     buoy.step(0.02);
-    const auto g = buoy.sense({0.0, 0.0, 0.0});
+    const auto g = Buoy::sense({0.0, 0.0, 0.0}, buoy.roll_rad(),
+                               buoy.pitch_rad());
     max_xy = std::max({max_xy, std::abs(g.x), std::abs(g.y)});
   }
   EXPECT_GT(max_xy, 0.1);
@@ -168,7 +171,7 @@ TEST(BuoyTest, SenseNormPreservedUnderTilt) {
   Buoy buoy(cfg);
   for (int i = 0; i < 1000; ++i) buoy.step(0.02);
   const ocean::Accel3 a{0.4, -0.2, 1.1};
-  const auto g = buoy.sense(a);
+  const auto g = Buoy::sense(a, buoy.roll_rad(), buoy.pitch_rad());
   const double world_norm =
       std::sqrt(a.ax * a.ax + a.ay * a.ay +
                 (a.az + util::kGravity) * (a.az + util::kGravity));

@@ -1,16 +1,26 @@
-// Equivalence of the wave-field sin/cos kernel with libm.
+// Equivalence of wave-field synthesis with its references.
 //
-// ocean::sincos_batch replaces std::sin/std::cos in every WaveField
-// evaluation. These tests keep the libm synthesis loops as they were before
-// the kernel, verbatim, and check three things: the kernel is within 2^-51
-// of libm over its validated phase range; calls beyond that range fall back
-// to libm exactly; and the sensor counts a buoy records are unchanged.
+// Two references are kept here, verbatim, so the library's faster paths
+// can be held to them:
+//   - the libm synthesis loops from before the sin/cos kernel, for the
+//     kernel's 2^-51 accuracy, the guard's exact libm fallback and the
+//     sensor counts a buoy records;
+//   - the per-sample path from before sample blocking: a scalar copy of
+//     the kernel's sin/cos arithmetic, of the one-sample acceleration and
+//     of the generate_trace loop. sincos_batch, the block form of
+//     WaveField::acceleration and generate_trace must match it bit for
+//     bit, which checks whichever ISA clone the host runs. This file
+//     builds at the baseline ISA, so the reference cannot fuse a
+//     multiply-add.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "dsp/filter.h"
@@ -19,7 +29,10 @@
 #include "sensing/accelerometer.h"
 #include "sensing/buoy.h"
 #include "sensing/trace.h"
+#include "shipwave/ship.h"
+#include "shipwave/wave_train.h"
 #include "util/rng.h"
+#include "util/units.h"
 
 namespace sid {
 namespace {
@@ -54,17 +67,6 @@ Accel3 libm_acceleration(const std::vector<WaveComponent>& components,
     a.ay += horizontal * dir_y;
   }
   return a;
-}
-
-double libm_vertical_acceleration(const std::vector<WaveComponent>& components,
-                                  util::Vec2 p, double t) {
-  double az = 0.0;
-  for (const auto& c : components) {
-    const double kx = c.wavenumber * (c.dir_cos * p.x + c.dir_sin * p.y);
-    const double phase = kx - c.omega * t + c.phase;
-    az += -c.omega * c.omega * c.amplitude_m * std::cos(phase);
-  }
-  return az;
 }
 
 // ------------------------------------------------ kernel vs libm
@@ -137,8 +139,6 @@ TEST(SinCosKernelTest, CallsBeyondTheGuardUseLibmExactly) {
     EXPECT_EQ(a.ay, ref.ay);
     EXPECT_EQ(a.az, ref.az);
     EXPECT_EQ(field.elevation(p, t), libm_elevation(components, p, t));
-    EXPECT_EQ(field.vertical_acceleration(p, t),
-              libm_vertical_acceleration(components, p, t));
   }
 }
 
@@ -150,8 +150,8 @@ TEST(SinCosKernelTest, ElevationAndHeaveAgreeWithLibmInsideTheGuard) {
     const util::Vec2 p{62.5, 125.0};
     EXPECT_NEAR(field.elevation(p, t), libm_elevation(components, p, t),
                 1e-14);
-    EXPECT_NEAR(field.vertical_acceleration(p, t),
-                libm_vertical_acceleration(components, p, t), 1e-13);
+    EXPECT_NEAR(field.acceleration(p, t).az,
+                libm_acceleration(components, p, t).az, 1e-13);
   }
 }
 
@@ -175,9 +175,10 @@ std::vector<dsp::IirCascade> heave_response(const sense::TraceConfig& cfg) {
 sense::AccelG sense_filtered(const sense::Buoy& buoy,
                              std::vector<dsp::IirCascade>& response,
                              const Accel3& a) {
-  return buoy.sense(Accel3{.ax = response[0].process(a.ax),
-                           .ay = response[1].process(a.ay),
-                           .az = response[2].process(a.az)});
+  return sense::Buoy::sense(Accel3{.ax = response[0].process(a.ax),
+                                   .ay = response[1].process(a.ay),
+                                   .az = response[2].process(a.az)},
+                            buoy.roll_rad(), buoy.pitch_rad());
 }
 
 // One 300 s, 50 Hz track: the buoy drifts and tilts as in generate_trace,
@@ -240,6 +241,350 @@ TEST(SynthesisEquivalenceTest, SensorCountsMatchLibmAcrossSeaStatesAndSeeds) {
   EXPECT_EQ(tally.counts, 3u * 4u * 15000u * 3u);
   EXPECT_EQ(tally.changed, 0u);
   for (const double delta : tally.max_delta) EXPECT_LE(delta, 1e-13);
+}
+
+// ------------------------------------------------ per-sample reference
+
+// The kernel's sin/cos arithmetic, verbatim: a Cody–Waite reduction by
+// pi/2 and fdlibm's polynomials, one phase at a time.
+void reference_sincos(double x, double& sin_x, double& cos_x) {
+  constexpr double kS1 = -1.66666666666666324348e-01;
+  constexpr double kS2 = 8.33333333332248946124e-03;
+  constexpr double kS3 = -1.98412698298579493134e-04;
+  constexpr double kS4 = 2.75573137070700676789e-06;
+  constexpr double kS5 = -2.50507602534068634195e-08;
+  constexpr double kS6 = 1.58969099521155010221e-10;
+  constexpr double kC1 = 4.16666666666666019037e-02;
+  constexpr double kC2 = -1.38888888888741095749e-03;
+  constexpr double kC3 = 2.48015872894767294178e-05;
+  constexpr double kC4 = -2.75573143513906633035e-07;
+  constexpr double kC5 = 2.08757232129817482790e-09;
+  constexpr double kC6 = -1.13596475577881948265e-11;
+  constexpr double kTwoOverPi = 6.36619772367581382433e-01;
+  constexpr double kPio2Hi = 1.57079632673412561417e+00;
+  constexpr double kPio2Mid = 6.07710050630396597660e-11;
+  constexpr double kPio2Lo = 2.02226624871116645580e-21;
+  constexpr double kRoundShift = 0x1.8p52;
+  const double shifted = x * kTwoOverPi + kRoundShift;
+  const double q = shifted - kRoundShift;
+  const double r = ((x - q * kPio2Hi) - q * kPio2Mid) - q * kPio2Lo;
+  const double z = r * r;
+  const double w = z * z;
+  const double sin_poly = kS2 + z * (kS3 + z * kS4) + z * w * (kS5 + z * kS6);
+  const double v = z * r;
+  const double sin_r = r + v * (kS1 + z * sin_poly);
+  const double cos_poly =
+      z * (kC1 + z * (kC2 + z * kC3)) + w * w * (kC4 + z * (kC5 + z * kC6));
+  const double half_z = 0.5 * z;
+  const double one_minus = 1.0 - half_z;
+  const double cos_r =
+      one_minus + (((1.0 - one_minus) - half_z) + z * cos_poly);
+  const auto quadrant = std::bit_cast<std::uint64_t>(shifted);
+  const std::uint64_t swap = 0 - (quadrant & 1);
+  const auto sin_bits = std::bit_cast<std::uint64_t>(sin_r);
+  const auto cos_bits = std::bit_cast<std::uint64_t>(cos_r);
+  sin_x = std::bit_cast<double>(((sin_bits & ~swap) | (cos_bits & swap)) ^
+                                ((quadrant & 2) << 62));
+  cos_x = std::bit_cast<double>(((cos_bits & ~swap) | (sin_bits & swap)) ^
+                                (((quadrant + 1) & 2) << 62));
+}
+
+// The one-sample acceleration: the range guard picks the kernel or libm
+// for the whole sample, and the components are summed 0..N-1 in order.
+class ReferenceField {
+ public:
+  explicit ReferenceField(const ocean::WaveField& field)
+      : components_(field.components()) {
+    for (const auto& c : components_) {
+      max_wavenumber_ = std::max(max_wavenumber_, c.wavenumber);
+      max_omega_ = std::max(max_omega_, c.omega);
+    }
+  }
+
+  bool in_kernel_range(util::Vec2 p, double t) const {
+    const double bound = max_wavenumber_ * (std::abs(p.x) + std::abs(p.y)) +
+                         max_omega_ * std::abs(t) + 2.0 * std::numbers::pi;
+    return bound <= ocean::kSinCosMaxPhase;
+  }
+
+  Accel3 acceleration(util::Vec2 p, double t) const {
+    const bool use_kernel = in_kernel_range(p, t);
+    Accel3 a;
+    for (const auto& c : components_) {
+      const double kx = c.wavenumber * (c.dir_cos * p.x + c.dir_sin * p.y);
+      const double phase = kx - c.omega * t + c.phase;
+      double sin_phase = 0.0;
+      double cos_phase = 0.0;
+      if (use_kernel) {
+        reference_sincos(phase, sin_phase, cos_phase);
+      } else {
+        sin_phase = std::sin(phase);
+        cos_phase = std::cos(phase);
+      }
+      const double w2a = c.omega * c.omega * c.amplitude_m;
+      a.az += -w2a * cos_phase;
+      const double horizontal = w2a * sin_phase;
+      a.ax += horizontal * c.dir_cos;
+      a.ay += horizontal * c.dir_sin;
+    }
+    return a;
+  }
+
+ private:
+  std::vector<WaveComponent> components_;
+  double max_wavenumber_ = 0.0;
+  double max_omega_ = 0.0;
+};
+
+// The generate_trace loop, one sample at a time: step the buoy, evaluate
+// the field, add the wake trains, filter, tilt, add slam noise, apply the
+// fault and digitize.
+sense::SensorTrace reference_trace(const ocean::WaveField& field,
+                                   std::span<const wake::WakeTrain> trains,
+                                   const sense::TraceConfig& config) {
+  const ReferenceField reference(field);
+  const auto n = static_cast<std::size_t>(
+      std::llround(config.duration_s * config.sample_rate_hz));
+  sense::Buoy buoy(config.buoy);
+  sense::Accelerometer accel(config.accel);
+  util::Rng slam_rng(config.buoy.seed * 0x9e3779b97f4a7c15ULL + 0x51A11ULL);
+  const double dt = 1.0 / config.sample_rate_hz;
+  auto response = heave_response(config);
+  sense::SensorTrace trace;
+  trace.sample_rate_hz = config.sample_rate_hz;
+  trace.start_time_s = config.start_time_s;
+  std::optional<sense::CountSample> stuck;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = config.start_time_s + static_cast<double>(i) * dt;
+    buoy.step(dt);
+    Accel3 a = reference.acceleration(buoy.position(), t);
+    for (const auto& train : trains) {
+      const double wz = train.vertical_acceleration(t);
+      a.az += wz;
+      const double wh = config.wake_horizontal_fraction * wz;
+      a.ax += wh * 0.7 * train.params().side;
+      a.ay += wh * 0.3;
+    }
+    a.ax = response[0].process(a.ax);
+    a.ay = response[1].process(a.ay);
+    a.az = response[2].process(a.az);
+    sense::AccelG g = sense::Buoy::sense(a, buoy.roll_rad(), buoy.pitch_rad());
+    g.x += slam_rng.normal(0.0, 2.0 * config.slam_noise_g);
+    g.y += slam_rng.normal(0.0, 2.0 * config.slam_noise_g);
+    g.z += slam_rng.normal(0.0, config.slam_noise_g);
+    const bool faulty = config.fault.mode != sense::SensorFaultMode::kNone &&
+                        t >= config.fault.start_s;
+    if (faulty && config.fault.mode == sense::SensorFaultMode::kGainDrift) {
+      const double gain =
+          std::max(0.0, 1.0 + config.fault.gain_drift_per_s *
+                                  (t - config.fault.start_s));
+      g.x *= gain;
+      g.y *= gain;
+      g.z *= gain;
+    }
+    if (faulty && config.fault.mode == sense::SensorFaultMode::kSaturation) {
+      const double lim = config.fault.saturation_g;
+      g.x = std::clamp(g.x, -lim, lim);
+      g.y = std::clamp(g.y, -lim, lim);
+      g.z = std::clamp(g.z, -lim, lim);
+    }
+    sense::CountSample counts = accel.sample(g);
+    if (faulty && config.fault.mode == sense::SensorFaultMode::kStuckAt) {
+      if (stuck) {
+        counts = *stuck;
+      } else {
+        stuck = counts;
+      }
+    }
+    trace.x.push_back(counts.x);
+    trace.y.push_back(counts.y);
+    trace.z.push_back(counts.z);
+  }
+  return trace;
+}
+
+// ------------------------------------------------ bit-identity
+
+// Phases spread like the validated range of WithinTwoToTheMinus51...:
+// uniform over it, hard reductions near multiples of pi/2, and the span
+// a harbor trace covers.
+std::vector<double> validated_phases(std::uint64_t seed, int count) {
+  constexpr double kMax = ocean::kSinCosMaxPhase;
+  constexpr double kHalfPi = std::numbers::pi / 2.0;
+  util::Rng rng(seed);
+  std::vector<double> phases = {0.0, -0.0, kHalfPi, -kHalfPi, kMax, -kMax};
+  for (int i = 0; i < count; ++i) {
+    phases.push_back(rng.uniform(-kMax, kMax));
+    const double q = std::round(rng.uniform(-kMax, kMax) / kHalfPi);
+    phases.push_back(q * kHalfPi + rng.uniform(-1e-6, 1e-6));
+    phases.push_back(rng.uniform(-1e4, 1e4));
+  }
+  return phases;
+}
+
+TEST(SinCosKernelTest, BatchMatchesScalarReferenceBitForBit) {
+  // Odd lengths leave a scalar tail behind every vector width.
+  const auto phases = validated_phases(77, 100001);
+  std::vector<double> sin_out(phases.size());
+  std::vector<double> cos_out(phases.size());
+  ocean::sincos_batch(phases.data(), sin_out.data(), cos_out.data(),
+                      phases.size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    double s = 0.0;
+    double c = 0.0;
+    reference_sincos(phases[i], s, c);
+    // Compare bits, so -0.0 against 0.0 counts too.
+    mismatches +=
+        static_cast<std::size_t>(std::bit_cast<std::uint64_t>(s) !=
+                                 std::bit_cast<std::uint64_t>(sin_out[i])) +
+        static_cast<std::size_t>(std::bit_cast<std::uint64_t>(c) !=
+                                 std::bit_cast<std::uint64_t>(cos_out[i]));
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << 2 * phases.size() << " values";
+}
+
+void expect_block_matches_reference(const ocean::WaveField& field,
+                                    std::span<const util::Vec2> p,
+                                    std::span<const double> t) {
+  const ReferenceField reference(field);
+  std::vector<Accel3> block(p.size());
+  field.acceleration(p, t, block);
+  for (std::size_t j = 0; j < p.size(); ++j) {
+    const Accel3 want = reference.acceleration(p[j], t[j]);
+    EXPECT_EQ(block[j].ax, want.ax) << "sample " << j;
+    EXPECT_EQ(block[j].ay, want.ay) << "sample " << j;
+    EXPECT_EQ(block[j].az, want.az) << "sample " << j;
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(BlockKernelTest, MatchesPerSampleReferenceBitForBit) {
+  // 5,000 accelerations along drifting tracks in three sea states, in
+  // calls of 1, 63, 64, 65 and 4,421 samples (partial and whole blocks).
+  std::size_t evaluated = 0;
+  std::uint64_t seed = 1;
+  for (const auto sea : {ocean::SeaState::kCalm, ocean::SeaState::kModerate,
+                         ocean::SeaState::kRough}) {
+    const auto spectrum = ocean::make_sea_spectrum(sea);
+    ocean::WaveFieldConfig cfg;
+    cfg.seed = seed++;
+    const ocean::WaveField field(*spectrum, cfg);
+    util::Rng rng(cfg.seed + 100);
+    for (const std::size_t n : {1u, 63u, 64u, 65u, 4421u}) {
+      if (sea != ocean::SeaState::kModerate && n == 4421u) continue;
+      std::vector<util::Vec2> p(n);
+      std::vector<double> t(n);
+      util::Vec2 at{rng.uniform(-2500.0, 2500.0), rng.uniform(-2500.0, 2500.0)};
+      const double t0 = rng.uniform(0.0, 3600.0);
+      for (std::size_t j = 0; j < n; ++j) {
+        at.x += rng.normal(0.0, 0.01);
+        at.y += rng.normal(0.0, 0.01);
+        p[j] = at;
+        t[j] = t0 + 0.02 * static_cast<double>(j);
+      }
+      SCOPED_TRACE(testing::Message() << "sea " << static_cast<int>(sea)
+                                      << ", n " << n);
+      expect_block_matches_reference(field, p, t);
+      evaluated += n;
+    }
+  }
+  EXPECT_EQ(evaluated, 5000u);
+}
+
+TEST(BlockKernelTest, BlockStraddlingTheGuardMatchesReference) {
+  // Times rising through the guard: the early samples of the block take
+  // the kernel and the late ones libm, each as a one-sample call would.
+  const auto spectrum = ocean::make_sea_spectrum(ocean::SeaState::kRough);
+  const ocean::WaveField field(*spectrum, {});
+  const ReferenceField reference(field);
+  const util::Vec2 at{40.0, -25.0};
+  double lo = 0.0;
+  double hi = 1e7;
+  for (int k = 0; k < 200; ++k) {
+    const double mid = 0.5 * (lo + hi);
+    (reference.in_kernel_range(at, mid) ? lo : hi) = mid;
+  }
+  std::vector<util::Vec2> p(ocean::kSampleBlock, at);
+  std::vector<double> t(ocean::kSampleBlock);
+  std::size_t in_range = 0;
+  for (std::size_t j = 0; j < t.size(); ++j) {
+    t[j] = lo + 0.02 * (static_cast<double>(j) - 20.0);
+    if (reference.in_kernel_range(at, t[j])) ++in_range;
+  }
+  ASSERT_GT(in_range, 0u);
+  ASSERT_LT(in_range, t.size());
+  expect_block_matches_reference(field, p, t);
+}
+
+void expect_same_trace(const sense::SensorTrace& got,
+                       const sense::SensorTrace& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.x[i], want.x[i]) << "sample " << i;
+    EXPECT_EQ(got.y[i], want.y[i]) << "sample " << i;
+    EXPECT_EQ(got.z[i], want.z[i]) << "sample " << i;
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+struct TraceCase {
+  ocean::SeaState sea = ocean::SeaState::kModerate;
+  std::uint64_t seed = 1;
+  std::size_t samples = 0;
+  sense::SensorFaultMode fault = sense::SensorFaultMode::kNone;
+  bool wake = false;
+};
+
+TEST(TraceEquivalenceTest, GenerateTraceMatchesPerSampleReference) {
+  using sense::SensorFaultMode;
+  const std::vector<TraceCase> cases = {
+      {.samples = 1},
+      {.samples = 63},
+      {.samples = 64},
+      {.samples = 65},
+      {.sea = ocean::SeaState::kCalm, .seed = 2, .samples = 15001},
+      {.sea = ocean::SeaState::kModerate, .seed = 7, .samples = 15001},
+      {.sea = ocean::SeaState::kRough, .seed = 11, .samples = 15001},
+      {.seed = 3, .samples = 15001, .wake = true},
+      {.seed = 4, .samples = 3001, .fault = SensorFaultMode::kStuckAt},
+      {.seed = 5, .samples = 3001, .fault = SensorFaultMode::kGainDrift},
+      {.seed = 6, .samples = 3001, .fault = SensorFaultMode::kSaturation},
+  };
+  wake::ShipTrackConfig ship;
+  ship.start = {0.0, -300.0};
+  ship.heading_rad = std::numbers::pi / 2;
+  ship.speed_mps = util::knots_to_mps(10.0);
+  const wake::ShipTrack track(ship);
+  const util::Vec2 anchor{25.0, 0.0};
+  const auto train = wake::make_wake_train(track, anchor);
+  ASSERT_TRUE(train.has_value());
+  ASSERT_LT(train->params().arrival_time_s, 300.0);
+
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << "sea " << static_cast<int>(c.sea) << ", seed " << c.seed
+                 << ", " << c.samples << " samples, fault "
+                 << static_cast<int>(c.fault));
+    const auto spectrum = ocean::make_sea_spectrum(c.sea);
+    ocean::WaveFieldConfig field_cfg;
+    field_cfg.seed = c.seed;
+    const ocean::WaveField field(*spectrum, field_cfg);
+    sense::TraceConfig cfg;
+    cfg.duration_s = static_cast<double>(c.samples) / cfg.sample_rate_hz;
+    cfg.start_time_s = 0.5;
+    cfg.buoy.anchor = anchor;
+    cfg.buoy.seed = c.seed * 7919 + 1;
+    cfg.accel.seed = c.seed * 104729;
+    cfg.fault.mode = c.fault;
+    cfg.fault.start_s = 20.0;
+    cfg.fault.gain_drift_per_s = 0.01;
+    std::vector<wake::WakeTrain> trains;
+    if (c.wake) trains.push_back(*train);
+    const auto got = sense::generate_trace(field, trains, cfg);
+    ASSERT_EQ(got.size(), c.samples);
+    expect_same_trace(got, reference_trace(field, trains, cfg));
+  }
 }
 
 }  // namespace
