@@ -152,7 +152,7 @@ DEFENSE_FUNNEL_PREFIX = "src/wsn/"
 
 DEFENSE_FUNNEL_PATTERNS = (
     # NeighborTable mutators (link beliefs are delivery-layer evidence).
-    re.compile(r"\.\s*(?:on_beacon|on_tx_success|on_tx_failure"
+    re.compile(r"\.\s*(?:(?:on_beacon|on_tx_success|on_tx_failure)(?:_at)?"
                r"|boot_neighbor|sweep)\s*\("),
     # GuardLedger / quarantine-view mutators (both admission funnels:
     # accel reports/decisions and acoustic contact reports).
@@ -449,6 +449,8 @@ def self_test() -> int:
             "#include <condition_variable>\nstd::condition_variable cv;\n",
         "defense-funnel":
             "void f() { table.on_beacon(3, t); }\n",
+        "defense-funnel-slot":
+            "void f() { table.on_tx_failure_at(slot, t); }\n",
         "defense-funnel-ledger":
             "void g() { ledger.assess(msg, t); }\n",
         "defense-funnel-acoustic":
@@ -503,6 +505,7 @@ def self_test() -> int:
         core_dir = src / "core"
         core_dir.mkdir()
         (core_dir / "m.cpp").write_text(cases["defense-funnel"])
+        (core_dir / "m2.cpp").write_text(cases["defense-funnel-slot"])
         (core_dir / "n.cpp").write_text(cases["defense-funnel-ledger"])
         (core_dir / "n2.cpp").write_text(cases["defense-funnel-acoustic"])
         # Span-funnel plant: a core-layer file calling emit_span directly;
@@ -557,6 +560,7 @@ def self_test() -> int:
                 ("mutex-funnel", "p.cpp"),
                 ("mutex-funnel", "q.cpp"),
                 ("defense-funnel", "m.cpp"),
+                ("defense-funnel", "m2.cpp"),
                 ("defense-funnel", "n.cpp"),
                 ("defense-funnel", "n2.cpp"),
                 ("span-funnel", "r.cpp"),

@@ -1,6 +1,8 @@
 #include "wsn/faults.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "util/error.h"
 
@@ -24,6 +26,10 @@ std::uint64_t link_key(NodeId a, NodeId b) {
          std::max(a, b);
 }
 
+/// Chain state bytes: bit 0 is the bad state, the bits above 1 + the
+/// parameter index, so one byte holds at most this many distinct sets.
+constexpr std::size_t kMaxChainParams = 127;
+
 }  // namespace
 
 GilbertElliott::GilbertElliott(const GilbertElliottParams& params)
@@ -32,12 +38,17 @@ GilbertElliott::GilbertElliott(const GilbertElliottParams& params)
 }
 
 bool GilbertElliott::drops(util::Rng& rng) {
-  if (bad_) {
-    if (rng.bernoulli(params_.p_exit_bad)) bad_ = false;
+  return advance(params_, bad_, rng);
+}
+
+bool GilbertElliott::advance(const GilbertElliottParams& params, bool& bad,
+                             util::Rng& rng) {
+  if (bad) {
+    if (rng.bernoulli(params.p_exit_bad)) bad = false;
   } else {
-    if (rng.bernoulli(params_.p_enter_bad)) bad_ = true;
+    if (rng.bernoulli(params.p_enter_bad)) bad = true;
   }
-  return rng.bernoulli(bad_ ? params_.loss_bad : params_.loss_good);
+  return rng.bernoulli(bad ? params.loss_bad : params.loss_good);
 }
 
 double GilbertElliott::stationary_loss() const {
@@ -51,9 +62,12 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed)
   for (const auto& crash : plan_.crashes) {
     util::require(crash.time_s >= 0.0,
                   "FaultPlan: crash time must be non-negative");
-    const auto [it, inserted] =
-        earliest_crash_.try_emplace(crash.node, crash.time_s);
-    if (!inserted) it->second = std::min(it->second, crash.time_s);
+    if (crash.node >= crash_at_.size()) {
+      crash_at_.resize(crash.node + std::size_t{1},
+                       std::numeric_limits<double>::quiet_NaN());
+    }
+    double& at = crash_at_[crash.node];
+    if (std::isnan(at) || crash.time_s < at) at = crash.time_s;
   }
   for (const auto& override_spec : plan_.battery_overrides) {
     // A node dead from deployment is written crashes {node, 0.0}.
@@ -67,11 +81,31 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed)
                       window.extra_loss_probability <= 1.0,
                   "FaultPlan: congestion loss must be in [0, 1]");
   }
+  const auto add_params = [this](const GilbertElliottParams& params) {
+    validate_ge(params);
+    if (std::find(params_.begin(), params_.end(), params) == params_.end()) {
+      params_.push_back(params);
+    }
+  };
   for (const auto& burst : plan_.link_bursts) {
-    validate_ge(burst.params);
-    chains_.emplace(link_key(burst.a, burst.b), GilbertElliott(burst.params));
+    add_params(burst.params);
+    pair_keys_.push_back(link_key(burst.a, burst.b));
   }
-  if (plan_.all_links_burst) validate_ge(*plan_.all_links_burst);
+  if (plan_.all_links_burst) add_params(*plan_.all_links_burst);
+  util::require(params_.size() <= kMaxChainParams,
+                "FaultPlan: at most 127 distinct Gilbert-Elliott parameter "
+                "sets");
+  std::sort(pair_keys_.begin(), pair_keys_.end());
+  pair_keys_.erase(std::unique(pair_keys_.begin(), pair_keys_.end()),
+                   pair_keys_.end());
+  chains_.assign(pair_keys_.size(), 0);
+  for (const auto& burst : plan_.link_bursts) {
+    const auto link = static_cast<std::size_t>(
+        std::lower_bound(pair_keys_.begin(), pair_keys_.end(),
+                         link_key(burst.a, burst.b)) -
+        pair_keys_.begin());
+    if (chains_[link] == 0) chains_[link] = fresh_chain(burst.params);
+  }
   for (const auto& spec : plan_.acoustic_faults) {
     util::require(spec.drop_fraction >= 0.0 && spec.drop_fraction <= 1.0,
                   "FaultPlan: acoustic drop fraction must be in [0, 1]");
@@ -84,15 +118,18 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed)
   }
 }
 
-bool FaultInjector::node_dead(NodeId node, double t) const {
-  const auto it = earliest_crash_.find(node);
-  return it != earliest_crash_.end() && t >= it->second;
+std::uint8_t FaultInjector::fresh_chain(
+    const GilbertElliottParams& params) const {
+  const auto index = static_cast<std::size_t>(
+      std::find(params_.begin(), params_.end(), params) - params_.begin());
+  return static_cast<std::uint8_t>((index + 1) << 1);
 }
 
 std::optional<double> FaultInjector::crash_time(NodeId node) const {
-  const auto it = earliest_crash_.find(node);
-  if (it == earliest_crash_.end()) return std::nullopt;
-  return it->second;
+  if (node >= crash_at_.size() || std::isnan(crash_at_[node])) {
+    return std::nullopt;
+  }
+  return crash_at_[node];
 }
 
 std::optional<double> FaultInjector::battery_override(NodeId node) const {
@@ -118,17 +155,47 @@ bool FaultInjector::congestion_drops(double t) {
   return rng_.bernoulli(loss);
 }
 
-bool FaultInjector::burst_drops(NodeId a, NodeId b) {
-  // Per-link chains for explicit bursts were built in the constructor;
-  // under all_links_burst every link lazily gets its own chain so bursts
-  // on different links are independent.
-  const auto key = link_key(a, b);
-  if (plan_.all_links_burst) {
-    return chains_.try_emplace(key, *plan_.all_links_burst)
-        .first->second.drops(rng_);
+void FaultInjector::index_links(std::size_t link_count,
+                                const std::vector<std::size_t>& burst_links) {
+  util::require(burst_links.size() == plan_.link_bursts.size(),
+                "FaultInjector: one link per explicit burst");
+  pair_keys_.clear();
+  chains_.clear();
+  if (params_.empty()) return;  // no chain anywhere
+  chains_.assign(link_count, plan_.all_links_burst
+                                 ? fresh_chain(*plan_.all_links_burst)
+                                 : std::uint8_t{0});
+  // Backwards, so the first entry among duplicates is written last.
+  for (std::size_t i = burst_links.size(); i-- > 0;) {
+    util::require(burst_links[i] < link_count,
+                  "FaultInjector: burst link out of range");
+    chains_[burst_links[i]] = fresh_chain(plan_.link_bursts[i].params);
   }
-  const auto it = chains_.find(key);
-  return it != chains_.end() && it->second.drops(rng_);
+}
+
+bool FaultInjector::burst_drops(std::size_t link) {
+  if (chains_.empty()) return false;
+  std::uint8_t& chain = chains_[link];
+  if (chain == 0) return false;
+  bool bad = (chain & 1u) != 0;
+  const bool lost =
+      GilbertElliott::advance(params_[(chain >> 1) - 1], bad, rng_);
+  chain = static_cast<std::uint8_t>((chain & ~1u) | (bad ? 1u : 0u));
+  return lost;
+}
+
+bool FaultInjector::burst_drops(NodeId a, NodeId b) {
+  const std::uint64_t key = link_key(a, b);
+  const auto it = std::lower_bound(pair_keys_.begin(), pair_keys_.end(), key);
+  const auto link = static_cast<std::size_t>(it - pair_keys_.begin());
+  if (it == pair_keys_.end() || *it != key) {
+    if (!plan_.all_links_burst) return false;
+    // A chain for every pair, created good on its first attempt.
+    pair_keys_.insert(it, key);
+    chains_.insert(chains_.begin() + static_cast<std::ptrdiff_t>(link),
+                   fresh_chain(*plan_.all_links_burst));
+  }
+  return burst_drops(link);
 }
 
 std::optional<SensorFaultSpec> FaultInjector::sensor_fault(

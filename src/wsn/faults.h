@@ -19,9 +19,9 @@
 // without it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "util/rng.h"
@@ -52,6 +52,8 @@ struct GilbertElliottParams {
   double p_exit_bad = 0.25;   ///< P(bad -> good) per attempt
   double loss_good = 0.0;     ///< extra loss probability in the good state
   double loss_bad = 0.8;      ///< extra loss probability in the bad state
+
+  bool operator==(const GilbertElliottParams&) const = default;
 };
 
 /// Bursty loss on one undirected link (both directions share the chain).
@@ -256,6 +258,11 @@ class GilbertElliott {
   /// lost to the burst process.
   bool drops(util::Rng& rng);
 
+  /// The one step every chain takes: advances the state `bad` of a chain
+  /// with `params` one attempt and samples whether the attempt is lost.
+  static bool advance(const GilbertElliottParams& params, bool& bad,
+                      util::Rng& rng);
+
   bool in_bad_state() const { return bad_; }
 
   /// Long-run loss probability of the chain (closed form).
@@ -269,8 +276,10 @@ class GilbertElliott {
 };
 
 /// Runtime interpreter of a FaultPlan. Owned by the Network; queried on
-/// every routing decision and transmission attempt, so both per-node and
-/// per-link lookups are single hash probes.
+/// every routing decision and transmission attempt, so its per-node and
+/// per-link state lives in flat arrays: one crash time per node id, and
+/// one byte of burst-chain state per link, with each distinct parameter
+/// set stored once (DESIGN.md §5c).
 class FaultInjector {
  public:
   FaultInjector(const FaultPlan& plan, std::uint64_t seed);
@@ -282,7 +291,10 @@ class FaultInjector {
 
   /// True when `node` has crash-stopped at or before time `t` (its
   /// earliest scheduled crash counts).
-  bool node_dead(NodeId node, double t) const;
+  bool node_dead(NodeId node, double t) const {
+    // A node without a crash reads NaN, which no time reaches.
+    return node < crash_at_.size() && t >= crash_at_[node];
+  }
 
   /// Scheduled crash time for `node`, if any.
   std::optional<double> crash_time(NodeId node) const;
@@ -298,8 +310,23 @@ class FaultInjector {
   /// congestion. Draws from the fault RNG only inside a window.
   bool congestion_drops(double t);
 
-  /// Advances the burst chain for link {a, b} (if one is configured) and
-  /// returns true when this attempt is lost to the burst process.
+  /// Numbers the links bursts are drawn on as 0 .. link_count - 1;
+  /// `burst_links[i]` is the link of plan().link_bursts[i]. Under
+  /// all_links_burst every link gets a chain, an explicit burst's chain
+  /// takes precedence on its link (the first entry among duplicates),
+  /// and every chain starts good. Afterwards chains are drawn by link
+  /// number only.
+  void index_links(std::size_t link_count,
+                   const std::vector<std::size_t>& burst_links);
+
+  /// Advances the burst chain of link `link` (if it has one) and returns
+  /// true when this attempt is lost to the burst process.
+  bool burst_drops(std::size_t link);
+
+  /// The same for the undirected pair {a, b} of a standalone injector
+  /// (one never given index_links): chains sit on the plan's explicit
+  /// bursts and, under all_links_burst, on every pair from its first
+  /// attempt.
   bool burst_drops(NodeId a, NodeId b);
 
   /// Sensor fault scheduled for `node`, if any (first match).
@@ -312,12 +339,23 @@ class FaultInjector {
   const FaultPlan& plan() const { return plan_; }
 
  private:
+  /// The state byte of a fresh chain (good) with parameters `params`.
+  std::uint8_t fresh_chain(const GilbertElliottParams& params) const;
+
   FaultPlan plan_;
   util::Rng rng_;
-  /// Earliest crash time of every node the plan crashes.
-  std::unordered_map<NodeId, double> earliest_crash_;
-  /// Burst chains keyed by undirected link (smaller id in the high word).
-  std::unordered_map<std::uint64_t, GilbertElliott> chains_;
+  /// Earliest crash time per node id, NaN where the plan crashes none;
+  /// sized to the largest crashed id.
+  std::vector<double> crash_at_;
+  /// Each distinct chain parameter set once: explicit bursts in plan
+  /// order, then all_links_burst.
+  std::vector<GilbertElliottParams> params_;
+  /// One byte per link: 0 for no chain; otherwise bit 0 is the bad state
+  /// and the bits above are 1 + the chain's index into params_.
+  std::vector<std::uint8_t> chains_;
+  /// A standalone injector's links: undirected pair keys (smaller id in
+  /// the high word), ascending, numbering chains_. Empty once indexed.
+  std::vector<std::uint64_t> pair_keys_;
 };
 
 }  // namespace sid::wsn

@@ -22,6 +22,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "wsn/messages.h"
@@ -67,14 +70,27 @@ static_assert(kBeaconPeriodS > 0.0, "beacon ticks must advance");
 static_assert(kEwmaAlpha >= 0.0 && kEwmaAlpha <= 1.0,
               "EWMA weight must be in [0, 1]");
 static_assert(kLivenessWindowN <= 8,
-              "the slot window must fit NeighborEntry::slot_bits");
+              "the slot window must fit LinkState::slot_bits");
 
-/// One learned link, 48 bytes. The route search reads only `id`, `etx`
-/// and `blocked_until_s`, which the table caches from the other fields
-/// after every mutation (NeighborTable::refresh), so an explored link
-/// costs one compare and one load (DESIGN.md §5f).
-struct NeighborEntry {
-  NodeId id = 0;
+/// The route search's half of a learned link, 16 bytes: besides the
+/// neighbor's id (LinkSlots::ids) it is all the search reads. The table
+/// caches both fields from the link's LinkState after every mutation
+/// (NeighborTable::cost_of), so an explored link costs one compare, one
+/// load and one add (DESIGN.md §5f).
+struct LinkCost {
+  /// Cached 1 / max(quality, floor): the link's route cost.
+  double etx = 2.0;
+  /// Cached forwarding gate: the link is usable at t iff
+  /// !(t < blocked_until_s). +inf below kMinQuality, the quarantine end
+  /// while suspected, -inf otherwise.
+  double blocked_until_s = -std::numeric_limits<double>::infinity();
+};
+static_assert(sizeof(LinkCost) == 16,
+              "the search reads 16 bytes per link (DESIGN.md §5f)");
+
+/// The estimator's half of a learned link, 24 bytes: the state LinkCost
+/// is derived from.
+struct LinkState {
   /// Sliding window of recent beacon slots (bit 0 = newest, 1 = heard).
   std::uint8_t slot_bits = 0;
   /// Number of valid bits in slot_bits (saturates at the window size).
@@ -85,37 +101,91 @@ struct NeighborEntry {
   /// exponential backoff (which caps long before 255, where it
   /// saturates). Reset to 0 on any evidence of life.
   std::uint8_t suspicion_streak = 0;
-  /// Cached 1 / max(quality, floor): the link's route cost.
-  double etx = 2.0;
-  /// Cached forwarding gate: the link is usable at t iff
-  /// !(t < blocked_until_s). +inf below kMinQuality, the quarantine end
-  /// while suspected, -inf otherwise.
-  double blocked_until_s = -std::numeric_limits<double>::infinity();
+  bool heard_this_slot = false;
+  bool suspected = false;
   /// EWMA estimate of link delivery ratio in [0, 1].
   double quality = 0.5;
   double blacklist_until_s = 0.0;
-  bool heard_this_slot = false;
-  bool suspected = false;
 };
-static_assert(sizeof(NeighborEntry) == 48,
-              "a learned link stays 48 bytes (DESIGN.md §5f)");
+static_assert(sizeof(LinkState) == 24,
+              "a link's estimator state stays 24 bytes (DESIGN.md §5f)");
 
-class NeighborTable {
+/// The learned links of a whole field, one slot per deployed directed
+/// link, fixed at construction (DESIGN.md §5f). Node u's links are the
+/// slots [offsets[u], offsets[u + 1]): `ids` is the CSR adjacency,
+/// ascending by id within each node's range, and `cost[k]` and
+/// `state[k]` are u's belief about its link to ids[k]. Oracle mode
+/// learns nothing and keeps only the adjacency.
+class LinkSlots {
  public:
-  NeighborTable() = default;
-  /// `degree` is the number of deployment neighbors the table will hold;
-  /// the entries are reserved to exactly that.
-  explicit NeighborTable(NodeId self, std::size_t degree = 0) : self_(self) {
-    entries_.reserve(degree);
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<NodeId> ids;
+  /// The same link seen from the other end: if slot k is u's link to v,
+  /// reverse[k] is v's slot for u (every deployed link is symmetric).
+  std::vector<std::uint32_t> reverse;
+  /// Views of one allocation, sized by learn().
+  std::span<LinkCost> cost;
+  std::span<LinkState> state;
+
+  /// Gives every slot of `ids` a default LinkCost and LinkState, once per
+  /// store. Both arrays live in one block, released with the store
+  /// (DESIGN.md §5f). From kMappedBlockBytes up (7.8 MB on a 10k-node
+  /// field, its largest allocation) the block is pages mapped for it:
+  /// from the heap, a freed block stayed resident while the next field
+  /// built in the same process could not reuse its hole, which raised
+  /// peak RSS by a block. Smaller blocks come from the heap, where a map
+  /// and unmap per field would cost more than the field's whole
+  /// construction.
+  void learn();
+  /// Inserts a slot for `id` before slot `slot`, with its link in state
+  /// `link` and a default cost (a standalone table's growth).
+  void insert(std::size_t slot, NodeId id, const LinkState& link);
+
+  /// The slot among [first, last) that holds `id`, if one does.
+  std::optional<std::size_t> find(std::size_t first, std::size_t last,
+                                  NodeId id) const;
+  /// The slot of node u's link to v, if they are deployment neighbors.
+  std::optional<std::size_t> find(NodeId u, NodeId v) const {
+    return find(offsets[u], offsets[u + 1], v);
   }
 
-  /// Registers a physical neighbor discovered at deployment, seeding the
-  /// estimate from the boot-round reception outcomes (oldest first).
+ private:
+  static constexpr std::size_t kMappedBlockBytes = std::size_t{1} << 20;
+  struct Release {
+    std::size_t bytes;
+    void operator()(std::byte* block) const;
+  };
+  std::unique_ptr<std::byte[], Release> learned_;
+};
+
+/// One node's neighbor table: the logic over its slots of a LinkSlots
+/// store. Inside a Network it is a view of the node's range; a
+/// standalone table owns its store and grows it through boot_neighbor.
+/// Slot arguments and results index the store, not the table.
+class NeighborTable {
+ public:
+  /// A standalone table owning its slots (boot_neighbor adds them).
+  explicit NeighborTable(NodeId self);
+  /// Node `self`'s table in a field-wide store: the slots
+  /// [links.offsets[self], links.offsets[self + 1]). The store must
+  /// outlive the view.
+  NeighborTable(LinkSlots& links, NodeId self);
+
+  /// Adds a physical neighbor discovered at deployment to a standalone
+  /// table, its link seeded from the boot-round reception outcomes
+  /// (oldest first). A field's slots are seeded once, at construction,
+  /// with booted() and cost_of().
   void boot_neighbor(NodeId id, const std::vector<bool>& receptions);
+  /// The state of a link seeded from its boot-round reception outcomes.
+  static LinkState booted(const std::vector<bool>& receptions);
+  /// The cached cost of a link in `state`.
+  static LinkCost cost_of(const LinkState& state);
 
   /// Processes one received hello beacon. Returns true when this beacon
   /// cleared an active suspicion (i.e. the suspicion was false).
   bool on_beacon(NodeId from);
+  /// on_beacon for the link in `slot`, one of this table's slots.
+  bool on_beacon_at(std::size_t slot);
 
   /// Per-slot bookkeeping, run once per own beacon tick: shifts every
   /// neighbor's slot window, updates the EWMA, and applies the K-of-N
@@ -124,19 +194,22 @@ class NeighborTable {
 
   /// Feedback from the node's own transmissions. on_tx_success returns
   /// true when it cleared an active suspicion; on_tx_failure returns
-  /// true when the neighbor freshly became suspected.
+  /// true when the neighbor freshly became suspected. The `_at` forms
+  /// take the link's slot.
   bool on_tx_success(NodeId to);
+  bool on_tx_success_at(std::size_t slot);
   bool on_tx_failure(NodeId to, double t);
+  bool on_tx_failure_at(std::size_t slot, double t);
 
   /// True when the node would currently forward through `id`: known,
   /// estimated quality above the floor, and not quarantined. A neighbor
   /// whose quarantine has expired is usable again (probation) until the
   /// next piece of negative evidence re-confirms the suspicion.
   bool usable(NodeId id, double t) const;
-  /// The same test on an entry of entries(), without the id lookup
+  /// The same test on a link's cached cost, without the id lookup
   /// (inline: route searches call it once per explored link).
-  static bool usable(const NeighborEntry& entry, double t) {
-    return !(t < entry.blocked_until_s);
+  static bool usable(const LinkCost& cost, double t) {
+    return !(t < cost.blocked_until_s);
   }
 
   /// True while `id` is actively suspected dead (quarantine running).
@@ -149,14 +222,19 @@ class NeighborTable {
   /// barely-alive link costs much but not infinitely). At least 1, since
   /// kEwmaAlpha in [0, 1] keeps quality in [0, 1].
   double etx(NodeId id) const;
-  /// The same cost for an entry of entries(), without the id lookup.
-  static double etx(const NeighborEntry& entry) { return entry.etx; }
 
   /// True when at least one neighbor is currently usable.
   bool any_usable(double t) const;
 
-  /// Every deployment neighbor, ascending by id.
-  const std::vector<NeighborEntry>& entries() const { return entries_; }
+  /// The table's slots in the store, [first_slot(), end_slot()),
+  /// ascending by neighbor id.
+  std::size_t first_slot() const { return first_; }
+  std::size_t end_slot() const { return end_; }
+  /// The slot of the link to `id`, if `id` is a deployment neighbor.
+  std::optional<std::size_t> slot_of(NodeId id) const {
+    return links_->find(first_, end_, id);
+  }
+  const LinkSlots& links() const { return *links_; }
   NodeId self() const { return self_; }
 
  private:
@@ -164,20 +242,24 @@ class NeighborTable {
   /// link costs a large-but-finite number of expected transmissions.
   static constexpr double kEtxQualityFloor = 0.05;
 
-  NeighborEntry* find(NodeId id);
-  const NeighborEntry* find(NodeId id) const;
   /// Marks (or re-confirms) a suspicion; returns true only on the fresh
   /// alive -> suspected transition (rearms extend the backoff silently).
-  bool mark_suspected(NeighborEntry& entry, double t);
+  static bool mark_suspected(LinkState& state, double t);
   /// Clears an active suspicion on live evidence; true when one existed.
-  bool clear_suspicion(NeighborEntry& entry);
-  /// Recomputes the entry's cached `etx` and `blocked_until_s`. Every
+  static bool clear_suspicion(LinkState& state);
+  /// Recomputes the slot's cached LinkCost from its LinkState. Every
   /// public mutator ends with it, after any mark_suspected or
   /// clear_suspicion it ran.
-  static void refresh(NeighborEntry& entry);
+  void refresh(std::size_t slot) {
+    links_->cost[slot] = cost_of(links_->state[slot]);
+  }
 
+  /// The standalone table's store; null for a view.
+  std::unique_ptr<LinkSlots> owned_;
+  LinkSlots* links_ = nullptr;
   NodeId self_ = 0;
-  std::vector<NeighborEntry> entries_;  ///< sorted by id (deterministic)
+  std::size_t first_ = 0;
+  std::size_t end_ = 0;
 };
 
 }  // namespace sid::wsn

@@ -12,6 +12,7 @@
 
 #include "obs/profile.h"
 #include "obs/span.h"
+#include "util/check.h"
 #include "util/error.h"
 
 namespace sid::wsn {
@@ -50,6 +51,34 @@ constexpr double kOracleMinLinkPrr = 0.7;
 std::uint64_t stream_offset(std::uint64_t master, std::uint64_t stream) {
   return util::derive_seed(master, stream) ^
          util::derive_seed(kDefaultNetworkSeed, stream);
+}
+
+// A plan entry naming no deployed node would silently do nothing, so
+// every FaultPlan id must name one. Checked before the FaultInjector
+// sizes its per-node crash array by those ids.
+const FaultPlan& fault_plan_in_grid(const NetworkConfig& config) {
+  const std::size_t node_count = config.rows * config.cols;
+  const auto check_id = [node_count](NodeId id, const char* what) {
+    util::require(id < node_count, what);
+  };
+  const FaultPlan& plan = config.faults;
+  for (const auto& crash : plan.crashes) {
+    check_id(crash.node, "FaultPlan: crash node out of grid");
+  }
+  for (const auto& battery : plan.battery_overrides) {
+    check_id(battery.node, "FaultPlan: battery override node out of grid");
+  }
+  for (const auto& burst : plan.link_bursts) {
+    check_id(burst.a, "FaultPlan: link burst endpoint out of grid");
+    check_id(burst.b, "FaultPlan: link burst endpoint out of grid");
+  }
+  for (const auto& spec : plan.sensor_faults) {
+    check_id(spec.node, "FaultPlan: sensor fault node out of grid");
+  }
+  for (const auto& spec : plan.acoustic_faults) {
+    check_id(spec.node, "FaultPlan: acoustic fault node out of grid");
+  }
+  return plan;
 }
 
 RadioConfig derive_radio_config(const NetworkConfig& config) {
@@ -125,7 +154,8 @@ Network::Network(const NetworkConfig& config)
     : config_(config),
       counters_(registry_),
       radio_(derive_radio_config(config)),
-      faults_(config.faults, util::derive_seed(config.seed, kFaultStream)),
+      faults_(fault_plan_in_grid(config),
+              util::derive_seed(config.seed, kFaultStream)),
       beacon_rng_(util::derive_seed(config.seed, kBeaconStream)),
       attack_rng_(util::derive_seed(config.seed, kAttackStream)) {
   util::require(config.rows > 0 && config.cols > 0,
@@ -142,29 +172,21 @@ Network::Network(const NetworkConfig& config)
   tracer_.set_recorder(&recorder_);
   build_grid();
   build_adjacency();
+  // A burst on a pair no hop joins would never fire, like an id outside
+  // the grid (checked in fault_plan_in_grid).
+  std::vector<std::size_t> burst_links;
+  for (const auto& burst : config_.faults.link_bursts) {
+    const auto slot = links_.find(burst.a, burst.b);
+    util::require(slot.has_value(),
+                  "FaultPlan: link burst endpoints are not radio neighbors");
+    burst_links.push_back(link_of(*slot, burst.a, burst.b));
+  }
+  faults_.index_links(links_.ids.size() / 2, burst_links);
   if (config_.routing == RoutingMode::kSelfHealing) boot_discovery();
   build_shards();
   const auto check_id = [this](NodeId id, const char* what) {
     util::require(id < nodes_.size(), what);
   };
-  // A plan entry naming no deployed node would silently do nothing.
-  const FaultPlan& plan = config_.faults;
-  for (const auto& crash : plan.crashes) {
-    check_id(crash.node, "FaultPlan: crash node out of grid");
-  }
-  for (const auto& battery : plan.battery_overrides) {
-    check_id(battery.node, "FaultPlan: battery override node out of grid");
-  }
-  for (const auto& burst : plan.link_bursts) {
-    check_id(burst.a, "FaultPlan: link burst endpoint out of grid");
-    check_id(burst.b, "FaultPlan: link burst endpoint out of grid");
-  }
-  for (const auto& spec : plan.sensor_faults) {
-    check_id(spec.node, "FaultPlan: sensor fault node out of grid");
-  }
-  for (const auto& spec : plan.acoustic_faults) {
-    check_id(spec.node, "FaultPlan: acoustic fault node out of grid");
-  }
   if (!config_.attacks.empty()) {
     util::require(config_.routing == RoutingMode::kSelfHealing,
                   "Network: the attack layer requires self-healing routing");
@@ -253,7 +275,6 @@ void Network::build_grid() {
 
 void Network::build_adjacency() {
   SID_PROFILE_STAGE(obs::Stage::kAdjacency);
-  adjacency_.assign(nodes_.size(), {});
   // Oracle mode reproduces the legacy baseline: links enter the topology
   // by thresholding the ground-truth PRR. Self-healing mode admits every
   // physically-reachable link (boundary inclusive — pinned by
@@ -267,9 +288,13 @@ void Network::build_adjacency() {
   // Cell edge = radio range: candidate gathering is O(neighborhood), so
   // the whole build is O(N * degree) instead of the historical O(N^2)
   // pairwise scan. Queries return ascending ids and apply the exact
-  // in-range predicate, so the per-node lists are byte-identical to the
-  // triangular loop this replaces.
+  // in-range predicate, so each node's slot range holds exactly the list
+  // the triangular loop this replaces produced.
   spatial_index_ = SpatialIndex(anchors, radio_.config().max_range_m);
+  links_ = LinkSlots{};
+  links_.offsets.reserve(nodes_.size() + 1);
+  link_base_.assign(nodes_.size(), 0);
+  std::size_t lower_slots = 0;  // slots toward a lower id, so far
   std::vector<SpatialIndex::PointId> candidates;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     spatial_index_.query(anchors[i], radio_.config().max_range_m, candidates);
@@ -278,10 +303,25 @@ void Network::build_adjacency() {
       const double d = util::distance(nodes_[i].anchor, nodes_[j].anchor);
       if (!radio_.in_range(d)) continue;
       if (oracle && radio_.prr(d) < kOracleMinLinkPrr) continue;
-      adjacency_[i].push_back(nodes_[j].id);
+      const auto slot = static_cast<std::uint32_t>(links_.ids.size());
+      links_.ids.push_back(nodes_[j].id);
+      links_.reverse.push_back(0);
+      if (j < i) {
+        // The lower end's range is complete: pair the two slots.
+        const std::size_t back = slot_of(nodes_[j].id, nodes_[i].id);
+        links_.reverse[slot] = static_cast<std::uint32_t>(back);
+        links_.reverse[back] = slot;
+        ++lower_slots;
+      }
       longest_link_m_ = std::max(longest_link_m_, d);
     }
+    util::require(links_.ids.size() <= 0xFFFFFFFFu,
+                  "Network: too many links for 32-bit slots");
+    links_.offsets.push_back(static_cast<std::uint32_t>(links_.ids.size()));
+    link_base_[i] = static_cast<std::uint32_t>(lower_slots);
   }
+  links_.ids.shrink_to_fit();
+  links_.reverse.shrink_to_fit();
 }
 
 void Network::boot_discovery() {
@@ -293,23 +333,34 @@ void Network::boot_discovery() {
   // estimate is *derived from samples* a real node would observe, never
   // from the model parameters themselves. Commissioning energy is out of
   // scope (batteries are topped up at deployment).
-  tables_.clear();
-  tables_.reserve(nodes_.size());
-  for (const NodeInfo& info : nodes_) {
-    tables_.emplace_back(info.id, adjacency_[info.id].size());
-  }
+  links_.learn();
   const double extra_loss = radio_.config().extra_loss_probability;
+  // A grid has a handful of link lengths, so the reception probability
+  // of each is computed once. The memo is exact: prr is a pure function
+  // of the length.
+  constexpr std::size_t kMaxLengths = 16;
+  std::vector<std::pair<double, double>> p_by_length;
+  const auto reception_p = [&](double d) {
+    for (const auto& [length, p] : p_by_length) {
+      if (length == d) return p;
+    }
+    const double p = radio_.prr(d) * (1.0 - extra_loss);
+    if (p_by_length.size() < kMaxLengths) p_by_length.emplace_back(d, p);
+    return p;
+  };
   std::vector<bool> receptions(kBootRounds);
-  for (std::size_t u = 0; u < nodes_.size(); ++u) {
-    for (const NodeId v : adjacency_[u]) {
-      const double d = util::distance(nodes_[u].anchor, nodes_[v].anchor);
-      const double p = radio_.prr(d) * (1.0 - extra_loss);
+  for (NodeId u = 0; u < nodes_.size(); ++u) {
+    for (std::size_t k = links_.offsets[u]; k < links_.offsets[u + 1]; ++k) {
+      const NodeId v = links_.ids[k];
+      const double p =
+          reception_p(util::distance(nodes_[u].anchor, nodes_[v].anchor));
       for (std::size_t r = 0; r < receptions.size(); ++r) {
         receptions[r] = beacon_rng_.bernoulli(p);
       }
-      // Orientation: entry (u, v) estimates the v -> u inbound link from
+      // Orientation: slot (u, v) estimates the v -> u inbound link from
       // v's boot beacons as heard at u.
-      tables_[u].boot_neighbor(v, receptions);
+      links_.state[k] = NeighborTable::booted(receptions);
+      links_.cost[k] = NeighborTable::cost_of(links_.state[k]);
     }
   }
 }
@@ -330,9 +381,16 @@ NodeId Network::id_at(std::size_t row, std::size_t col) const {
   return static_cast<NodeId>(row * config_.cols + col);
 }
 
-const std::vector<NodeId>& Network::neighbors(NodeId id) const {
-  util::require(id < adjacency_.size(), "Network::neighbors: bad id");
-  return adjacency_[id];
+std::span<const NodeId> Network::neighbors(NodeId id) const {
+  util::require(id < nodes_.size(), "Network::neighbors: bad id");
+  const std::uint32_t first = links_.offsets[id];
+  return {links_.ids.data() + first, links_.offsets[id + 1] - first};
+}
+
+std::size_t Network::slot_of(NodeId u, NodeId v) const {
+  const auto slot = links_.find(u, v);
+  SID_CHECK(slot.has_value(), "no deployed link ", u, " -> ", v);
+  return *slot;
 }
 
 bool Network::node_operational(NodeId id, double t) const {
@@ -350,14 +408,17 @@ bool Network::can_execute(NodeId id, double t) const {
 
 bool Network::suspects(NodeId observer, NodeId subject) const {
   if (config_.routing != RoutingMode::kSelfHealing) return false;
-  util::require(observer < tables_.size(), "Network::suspects: bad id");
-  return tables_[observer].suspects(subject, events_.now());
+  util::require(observer < nodes_.size(), "Network::suspects: bad id");
+  return neighbor_table(observer).suspects(subject, events_.now());
 }
 
-const NeighborTable& Network::neighbor_table(NodeId id) const {
-  util::require(id < tables_.size(),
+const NeighborTable Network::neighbor_table(NodeId id) const {
+  util::require(config_.routing == RoutingMode::kSelfHealing &&
+                    id < nodes_.size(),
                 "Network::neighbor_table: no table (oracle mode?)");
-  return tables_[id];
+  // Const-overload delegation: the view is returned const, so none of
+  // its mutators can be called through it.
+  return const_cast<Network*>(this)->table(id);
 }
 
 void Network::note_suspicion(NodeId observer, NodeId subject, double t) {
@@ -365,7 +426,7 @@ void Network::note_suspicion(NodeId observer, NodeId subject, double t) {
   // Local route repair: the suspecting node drops the link from its
   // forwarding set; when another usable neighbor remains, traffic can be
   // recomputed around the suspect immediately.
-  if (tables_[observer].any_usable(t)) counters_.route_repairs.add();
+  if (table(observer).any_usable(t)) counters_.route_repairs.add();
   SID_TRACE(&tracer_, obs::Category::kNet, "suspect", t,
             {{"observer", observer}, {"subject", subject}});
 }
@@ -434,10 +495,12 @@ void Network::beacon_tick(std::size_t s, NodeId id) {
   BeaconTickRecord rec;
   rec.t = t;
   rec.sender = id;
-  // The sweep mutates only the sender's own table, which this shard owns.
-  rec.suspects = tables_[id].sweep(t);
+  // The sweep mutates only the sender's own slots, which this shard owns.
+  rec.suspects = table(id).sweep(t);
   const double extra_loss = radio_.config().extra_loss_probability;
-  for (const NodeId v : adjacency_[id]) {
+  for (std::uint32_t k = links_.offsets[id]; k < links_.offsets[id + 1];
+       ++k) {
+    const NodeId v = links_.ids[k];
     if (!node_operational(v, t)) continue;  // dead radios hear nothing
     const double d = util::distance(nodes_[id].anchor, nodes_[v].anchor);
     const double p = radio_.prr(d) * (1.0 - extra_loss);
@@ -449,7 +512,7 @@ void Network::beacon_tick(std::size_t s, NodeId id) {
     // keeps it out of forwarding sets, and letting its beacons refresh
     // link state would route traffic right back through it.
     if (!qview_.empty() && qview_[v][id] != 0) continue;
-    rec.receivers.push_back(v);
+    rec.receivers.push_back(k);
   }
   shard.records.push_back(std::move(rec));
   const double next =
@@ -474,28 +537,30 @@ void Network::commit_beacon_records() {
               return a->sender < b->sender;
             });
   for (const BeaconTickRecord* rec : order) {
+    const NodeId u = rec->sender;
     for (const NodeId suspect : rec->suspects) {
-      note_suspicion(rec->sender, suspect, rec->t);
+      note_suspicion(u, suspect, rec->t);
     }
     counters_.beacons_sent.add();
-    nodes_[rec->sender].energy.spend_tx(kBeaconBytes);
+    nodes_[u].energy.spend_tx(kBeaconBytes);
     counters_.bytes_sent.add(kBeaconBytes);
-    for (const NodeId v : rec->receivers) {
+    for (const std::uint32_t s : rec->receivers) {
+      const NodeId v = links_.ids[s];
+      // The receiver's slot for the sender: the link its beacon updates.
+      const std::size_t back = links_.reverse[s];
       if (faults_.active()) {
         if (faults_.congestion_drops(rec->t)) {
           counters_.congestion_losses.add();
           continue;
         }
-        if (faults_.burst_drops(rec->sender, v)) {
+        if (faults_.burst_drops(link_of(s, u, v))) {
           counters_.burst_losses.add();
           continue;
         }
       }
       nodes_[v].energy.spend_rx(kBeaconBytes);
       counters_.beacon_receptions.add();
-      if (tables_[v].on_beacon(rec->sender)) {
-        note_false_suspicion(v, rec->sender, rec->t);
-      }
+      if (table(v).on_beacon_at(back)) note_false_suspicion(v, u, rec->t);
     }
   }
 }
@@ -665,15 +730,18 @@ std::optional<std::vector<NodeId>> Network::learned_path(NodeId from,
     ++settled;
     if (u == to) break;
     const double cost_u = s.cost[u];
-    const std::vector<NeighborEntry>& entries = tables_[u].entries();
-    examined += entries.size();
-    for (const NeighborEntry& entry : entries) {
-      const NodeId v = entry.id;
-      if (!NeighborTable::usable(entry, t)) continue;
+    // u's slots: 16 bytes of LinkCost and a 4-byte id per examined link.
+    const std::size_t first = links_.offsets[u];
+    const std::size_t last = links_.offsets[u + 1];
+    examined += last - first;
+    for (std::size_t k = first; k < last; ++k) {
+      const LinkCost& link = links_.cost[k];
+      if (!NeighborTable::usable(link, t)) continue;
+      const NodeId v = links_.ids[k];
       // Quarantined identities are excluded as relays (but remain
       // addressable as final destinations, e.g. for transport acks).
       if (!qview_.empty() && v != to && qview_[u][v] != 0) continue;
-      const double next = cost_u + NeighborTable::etx(entry);
+      const double next = cost_u + link.etx;
       if (next < s.cost[v]) {
         if (s.cost[v] == kInf) touch(v);
         s.cost[v] = next;
@@ -718,7 +786,7 @@ std::optional<std::vector<NodeId>> Network::oracle_path(NodeId from,
   while (!queue.empty()) {
     const NodeId u = queue.front();
     queue.pop_front();
-    for (NodeId v : adjacency_[u]) {
+    for (const NodeId v : neighbors(u)) {
       if (parent[v] != kNoParent) continue;
       if (!node_operational(v, t)) continue;  // route around dead nodes
       parent[v] = u;
@@ -752,6 +820,7 @@ std::optional<double> Network::try_hop(const NodeInfo& from,
                                        std::size_t bytes) {
   const double t = events_.now();
   if (!node_operational(from.id, t)) return std::nullopt;
+  const std::size_t slot = slot_of(from.id, to.id);
   const double d = util::distance(from.anchor, to.anchor);
   const bool learning = config_.routing == RoutingMode::kSelfHealing;
   double delay = 0.0;
@@ -776,7 +845,7 @@ std::optional<double> Network::try_hop(const NodeInfo& from,
                   {{"from", from.id}, {"to", to.id}});
         continue;
       }
-      if (faults_.burst_drops(from.id, to.id)) {
+      if (faults_.burst_drops(link_of(slot, from.id, to.id))) {
         counters_.burst_losses.add();
         SID_TRACE(&tracer_, obs::Category::kFault, "burst_loss", t,
                   {{"from", from.id}, {"to", to.id}});
@@ -786,7 +855,7 @@ std::optional<double> Network::try_hop(const NodeInfo& from,
     nodes_[to.id].energy.spend_rx(bytes);
     // The link-layer ack doubles as an observation of the link (and of
     // the neighbor being alive).
-    if (learning && tables_[from.id].on_tx_success(to.id)) {
+    if (learning && table(from.id).on_tx_success_at(slot)) {
       note_false_suspicion(from.id, to.id, t);
     }
     return delay;
@@ -794,7 +863,7 @@ std::optional<double> Network::try_hop(const NodeInfo& from,
   // ARQ budget exhausted: negative evidence about the link. Enough of it
   // in a row fast-tracks a liveness suspicion without waiting for the
   // missed-beacon window.
-  if (learning && tables_[from.id].on_tx_failure(to.id, t)) {
+  if (learning && table(from.id).on_tx_failure_at(slot, t)) {
     note_suspicion(from.id, to.id, t);
   }
   return std::nullopt;
@@ -978,12 +1047,14 @@ void Network::flood(Message msg, std::size_t hops) {
     const Frontier f = queue.front();
     queue.pop_front();
     if (f.depth == hops) continue;
-    for (NodeId v : adjacency_[f.id]) {
+    for (std::size_t k = links_.offsets[f.id]; k < links_.offsets[f.id + 1];
+         ++k) {
+      const NodeId v = links_.ids[k];
       if (reached.contains(v)) continue;
       if (learned) {
         // The relay's belief, not the oracle: quarantined or known-bad
         // links are skipped; stale beliefs just waste the hop attempt.
-        if (!tables_[f.id].usable(v, t)) continue;
+        if (!NeighborTable::usable(links_.cost[k], t)) continue;
         if (!qview_.empty() && qview_[f.id][v] != 0) continue;
       } else {
         if (!node_operational(v, t)) continue;  // dead nodes don't relay
@@ -1082,8 +1153,7 @@ bool Network::defense_admit(NodeId receiver, const Message& msg, NodeId via,
     // The claimed final-hop transmitter must be a physical radio neighbor
     // the receiver has actually heard of — a never-beaconed link is a
     // wormhole claim.
-    const auto& adj = adjacency_[receiver];
-    if (std::find(adj.begin(), adj.end(), via) == adj.end()) {
+    if (!links_.find(receiver, via).has_value()) {
       counters_.defense_filtered.add();
       SID_TRACE(&tracer_, obs::Category::kNet, "defense_filter", t,
                 {{"guard", receiver}, {"via", via}, {"reason", "no_link"}});
@@ -1340,7 +1410,7 @@ void Network::spoof_tick(std::size_t index) {
     nodes_[atk.attacker].energy.spend_tx(kBeaconBytes);
     counters_.bytes_sent.add(kBeaconBytes);
     const double extra_loss = radio_.config().extra_loss_probability;
-    for (const NodeId v : adjacency_[atk.attacker]) {
+    for (const NodeId v : neighbors(atk.attacker)) {
       if (!node_operational(v, t)) continue;
       const double d =
           util::distance(nodes_[atk.attacker].anchor, nodes_[v].anchor);
@@ -1352,7 +1422,7 @@ void Network::spoof_tick(std::size_t index) {
         counters_.defense_spoofs_ignored.add();
         continue;
       }
-      if (tables_[v].on_beacon(atk.spoofed)) {
+      if (table(v).on_beacon(atk.spoofed)) {
         note_false_suspicion(v, atk.spoofed, t);
       }
     }

@@ -9,12 +9,14 @@
 // link-layer ARQ.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -229,8 +231,9 @@ class Network {
   /// Ids of direct radio neighbors of `id`. Oracle mode: links above the
   /// ground-truth PRR threshold (legacy baseline). Self-healing mode:
   /// every physically-reachable link; whether a link is *used* is the
-  /// learned neighbor table's call at traversal time.
-  const std::vector<NodeId>& neighbors(NodeId id) const;
+  /// learned neighbor table's call at traversal time. Ascending ids: the
+  /// node's slot range of the CSR adjacency.
+  std::span<const NodeId> neighbors(NodeId id) const;
 
   /// The route a unicast from `a` to `b` would take now, endpoints
   /// included (kSinkId resolves to the gateway): the least-ETX learned
@@ -258,8 +261,9 @@ class Network {
   /// for non-neighbors (a node has no direct belief about distant nodes).
   bool suspects(NodeId observer, NodeId subject) const;
 
-  /// Read access to a node's neighbor table (empty in oracle mode).
-  const NeighborTable& neighbor_table(NodeId id) const;
+  /// Read access to a node's neighbor table: a view of its slots, const
+  /// so that only its queries can be called. Self-healing mode only.
+  const NeighborTable neighbor_table(NodeId id) const;
 
   /// Starts (or extends) the periodic hello-beacon processes through
   /// simulated time `until_s`. Self-healing mode only (no-op otherwise).
@@ -333,10 +337,25 @@ class Network {
 
  private:
   void build_grid();
+  /// Builds the CSR adjacency (links_.offsets and ids), link_base_ and
+  /// longest_link_m_ from one spatial query per node.
   void build_adjacency();
-  /// Deployment-time neighbor discovery (self-healing mode): seeds every
-  /// node's table from a few physically-sampled boot beacon rounds.
+  /// Deployment-time neighbor discovery (self-healing mode): allocates
+  /// the learned state of every slot and seeds every node's table from a
+  /// few physically-sampled boot beacon rounds.
   void boot_discovery();
+  /// Node `id`'s neighbor table: a view of its slots.
+  NeighborTable table(NodeId id) { return NeighborTable(links_, id); }
+  /// The slot of u's link to v; the pair must be deployment neighbors
+  /// (every hop and beacon reception is).
+  std::size_t slot_of(NodeId u, NodeId v) const;
+  /// Number of the undirected link between u and v held in `slot` (the
+  /// fault layer's burst-chain index): the lower end's slot, counted
+  /// among the slots toward higher ids.
+  std::size_t link_of(std::size_t slot, NodeId u, NodeId v) const {
+    return std::min<std::size_t>(slot, links_.reverse[slot]) -
+           link_base_[std::min(u, v)];
+  }
   /// kSinkId-to-gateway address aliasing (see NetworkConfig::sink_node);
   /// every other id passes through unchanged.
   NodeId resolve_address(NodeId id) const {
@@ -352,10 +371,11 @@ class Network {
     NodeId sender = 0;
     /// Fresh suspicions raised by the pre-broadcast table sweep.
     std::vector<NodeId> suspects;
-    /// Neighbors that sampled a successful reception (operational and
-    /// un-quarantined at window start); fault-stream loss is applied at
-    /// commit so the shared Gilbert–Elliott chains advance canonically.
-    std::vector<NodeId> receivers;
+    /// The sender's slots of the neighbors that sampled a successful
+    /// reception (operational and un-quarantined at window start);
+    /// fault-stream loss is applied at commit so the shared
+    /// Gilbert–Elliott chains advance canonically.
+    std::vector<std::uint32_t> receivers;
   };
   struct Shard {
     NodeId begin = 0;  ///< first owned node id
@@ -481,9 +501,15 @@ class Network {
   Radio radio_;
   FaultInjector faults_;
   std::vector<NodeInfo> nodes_;
-  std::vector<std::vector<NodeId>> adjacency_;
-  /// Length of the longest link in adjacency_ (0 when there is none):
-  /// the route search's lower bound divides by it.
+  /// One slot per deployed directed link: the CSR adjacency and, in
+  /// self-healing mode, every node's learned link state (DESIGN.md §5f).
+  LinkSlots links_;
+  /// Undirected link numbering: node u's slots toward higher ids are
+  /// links slot - link_base_[u], where link_base_[u] counts the slots
+  /// toward lower ids in the ranges of nodes 0..u.
+  std::vector<std::uint32_t> link_base_;
+  /// Length of the longest deployed link (0 when there is none): the
+  /// route search's lower bound divides by it.
   double longest_link_m_ = 0.0;
   /// Uniform grid over the deployed anchors (cell = radio range); built
   /// once at construction, reused by the adjacency build and the replay
@@ -505,8 +531,6 @@ class Network {
   /// Fixed worker pool for phase A (created lazily on the first run with
   /// K > 1; one worker per shard, capped at the hardware concurrency).
   std::unique_ptr<util::ThreadPool> shard_pool_;
-  /// Per-node learned link state (self-healing mode; empty otherwise).
-  std::vector<NeighborTable> tables_;
   /// learned_path scratch, sized to the field on first use and reset
   /// through `touched` so a search costs only what it explores. Routes
   /// are computed on the global queue and from API calls only, never in

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -94,20 +96,36 @@ TEST(FaultInjectorTest, EarliestOfSeveralCrashesWins) {
 }
 
 TEST(FaultInjectorTest, NodeDeadMatchesTheLinearDefinition) {
-  // Property: over a random plan with repeated and never-crashed nodes,
-  // node_dead(n, t) holds iff some crash entry of n is at or before t.
-  // Half the probes sit exactly on a scheduled crash time.
+  // Property: over a random plan with repeated, duplicated and
+  // never-crashed nodes, node_dead(n, t) holds iff some crash entry of n
+  // is at or before t, and crash_time(n) is the earliest entry. Half the
+  // probes sit exactly on a scheduled crash time; ids run past the
+  // largest crashed one, up to the largest id there is.
   util::Rng rng(2024);
   wsn::FaultPlan plan;
   for (int i = 0; i < 300; ++i) {
     plan.crashes.push_back({static_cast<wsn::NodeId>(rng.uniform_int(120)),
                             rng.uniform(0.0, 100.0)});
   }
+  for (int i = 0; i < 40; ++i) {  // exact duplicate entries
+    plan.crashes.push_back(plan.crashes[rng.uniform_int(300)]);
+  }
+  const wsn::NodeId largest =
+      std::max_element(plan.crashes.begin(), plan.crashes.end(),
+                       [](const wsn::NodeCrash& a, const wsn::NodeCrash& b) {
+                         return a.node < b.node;
+                       })
+          ->node;
+  const std::vector<wsn::NodeId> beyond = {largest + 1, largest + 2, 100'000,
+                                           0xFFFFFFFFu};
   const wsn::FaultInjector injector(plan, 1);
   for (int probe = 0; probe < 20'000; ++probe) {
-    const auto node = static_cast<wsn::NodeId>(rng.uniform_int(150));
+    const auto node = probe % 8 == 0
+                          ? beyond[rng.uniform_int(beyond.size())]
+                          : static_cast<wsn::NodeId>(rng.uniform_int(150));
     const double t = probe % 2 == 0
-                         ? plan.crashes[rng.uniform_int(300)].time_s
+                         ? plan.crashes[rng.uniform_int(plan.crashes.size())]
+                               .time_s
                          : rng.uniform(-1.0, 110.0);
     const bool linear =
         std::any_of(plan.crashes.begin(), plan.crashes.end(),
@@ -116,6 +134,13 @@ TEST(FaultInjectorTest, NodeDeadMatchesTheLinearDefinition) {
                     });
     ASSERT_EQ(injector.node_dead(node, t), linear)
         << "node " << node << " t " << t;
+    std::optional<double> earliest;
+    for (const wsn::NodeCrash& c : plan.crashes) {
+      if (c.node == node && (!earliest || c.time_s < *earliest)) {
+        earliest = c.time_s;
+      }
+    }
+    ASSERT_EQ(injector.crash_time(node), earliest) << "node " << node;
   }
 }
 
@@ -147,6 +172,68 @@ TEST(FaultInjectorTest, BurstDropsDrawOnlyOnConfiguredLinks) {
       expected = ref_b.drops(ref_rng);
     }
     ASSERT_EQ(injector.burst_drops(from, to), expected) << "attempt " << i;
+  }
+}
+
+TEST(FaultInjectorTest, AllLinksBurstWithExplicitBurstsMatchesPerLinkChains) {
+  // Reference model: one GilbertElliott per link in a map, drawing from
+  // one stream seeded like the injector's. An explicit burst's chain
+  // (the first entry among duplicates) sits on its link; every other
+  // link gets an all_links_burst chain, good, on its first attempt.
+  // Checked for the Network's link numbering (index_links) and for a
+  // standalone injector's per-pair numbering.
+  wsn::GilbertElliottParams all;
+  all.p_enter_bad = 0.2;
+  all.p_exit_bad = 0.3;
+  all.loss_good = 0.05;
+  wsn::GilbertElliottParams x;
+  x.p_enter_bad = 0.5;
+  x.loss_bad = 1.0;
+  wsn::GilbertElliottParams y;
+  y.p_exit_bad = 0.02;
+  y.loss_bad = 0.6;
+  wsn::FaultPlan plan;
+  plan.all_links_burst = all;
+  plan.link_bursts = {{0, 1, x}, {3, 2, y}, {1, 0, y}, {4, 5, all}};
+  const auto explicit_params =
+      [&](std::size_t entry) -> const wsn::GilbertElliottParams& {
+    return plan.link_bursts[entry].params;
+  };
+
+  // Network numbering: ten links; the entries sit on links 3, 7, 3, 9.
+  const std::vector<std::size_t> burst_links = {3, 7, 3, 9};
+  wsn::FaultInjector indexed(plan, 91);
+  indexed.index_links(10, burst_links);
+  std::map<std::size_t, wsn::GilbertElliott> link_chains;
+  for (std::size_t i = 0; i < burst_links.size(); ++i) {
+    link_chains.try_emplace(burst_links[i], explicit_params(i));
+  }
+  util::Rng link_rng(91);
+  util::Rng pick(13);
+  for (int i = 0; i < 5'000; ++i) {
+    const std::size_t link = pick.uniform_int(10);
+    const bool expected =
+        link_chains.try_emplace(link, all).first->second.drops(link_rng);
+    ASSERT_EQ(indexed.burst_drops(link), expected) << "attempt " << i;
+  }
+
+  // Per-pair numbering, both orientations of each pair.
+  wsn::FaultInjector paired(plan, 91);
+  std::map<std::pair<wsn::NodeId, wsn::NodeId>, wsn::GilbertElliott>
+      pair_chains;
+  for (std::size_t i = 0; i < plan.link_bursts.size(); ++i) {
+    const auto& burst = plan.link_bursts[i];
+    pair_chains.try_emplace(std::minmax(burst.a, burst.b),
+                            explicit_params(i));
+  }
+  util::Rng pair_rng(91);
+  const std::vector<std::pair<wsn::NodeId, wsn::NodeId>> pairs = {
+      {0, 1}, {1, 0}, {2, 3}, {3, 2}, {4, 5}, {5, 6}, {7, 6}, {0, 7}, {9, 2}};
+  for (int i = 0; i < 5'000; ++i) {
+    const auto [a, b] = pairs[pick.uniform_int(pairs.size())];
+    const bool expected = pair_chains.try_emplace(std::minmax(a, b), all)
+                              .first->second.drops(pair_rng);
+    ASSERT_EQ(paired.burst_drops(a, b), expected) << "attempt " << i;
   }
 }
 
@@ -299,6 +386,33 @@ TEST(FaultyNetworkTest, BurstLossDropsUnicastsAndIsCounted) {
   }
   EXPECT_GT(net.stats().burst_losses, 0u);
   EXPECT_GT(dropped, 20u);  // stationary loss ~0.8 per hop over 3 hops
+}
+
+TEST(FaultyNetworkTest, ExplicitBurstSilencesOnlyItsLink) {
+  // A 1x4 line has five links. A burst that loses every attempt on
+  // {2, 1} silences that link's beacons in both directions and no other
+  // link's, so the chain must sit on exactly that link.
+  wsn::NetworkConfig cfg;
+  cfg.rows = 1;
+  cfg.cols = 4;
+  cfg.radio.extra_loss_probability = 0.0;
+  wsn::GilbertElliottParams dead;
+  dead.p_enter_bad = 1.0;
+  dead.p_exit_bad = 0.0;
+  dead.loss_bad = 1.0;
+  cfg.faults.link_bursts.push_back({2, 1, dead});
+  wsn::Network net(cfg);
+  net.set_delivery_handler([](wsn::NodeId, const wsn::Message&, double) {});
+  net.start_beacons(200.0);
+  net.run_events();
+  EXPECT_GT(net.stats().burst_losses, 0u);
+  EXPECT_LT(net.neighbor_table(1).quality(2), 0.01);
+  EXPECT_LT(net.neighbor_table(2).quality(1), 0.01);
+  // The other 25 m links hear nearly every beacon.
+  for (const auto& [u, v] : {std::pair<wsn::NodeId, wsn::NodeId>{0, 1},
+                            {1, 0}, {2, 3}, {3, 2}}) {
+    EXPECT_GT(net.neighbor_table(u).quality(v), 0.5) << u << " -> " << v;
+  }
 }
 
 TEST(FaultyNetworkTest, CongestionWindowOnlyAffectsItsInterval) {

@@ -394,13 +394,16 @@ TEST(NeighborTableModelTest, RandomOperationsMatchAPlainModel) {
         // formula to the last bit.
         EXPECT_EQ(table.etx(v), model.etx(v));
       }
-      // Routing reads the entries directly: the entry-level gate must
-      // agree with the id lookup (and so with the model) at every step.
-      for (const NeighborEntry& entry : table.entries()) {
+      // Routing reads the slots directly: each slot's cached cost must
+      // agree with the model at every step.
+      const LinkSlots& links = table.links();
+      for (std::size_t k = table.first_slot(); k < table.end_slot(); ++k) {
+        const NodeId v = links.ids[k];
         for (const double ahead : {0.0, 10.0, 40.0}) {
-          EXPECT_EQ(table.usable(entry, t + ahead),
-                    table.usable(entry.id, t + ahead));
+          EXPECT_EQ(NeighborTable::usable(links.cost[k], t + ahead),
+                    model.usable(v, t + ahead));
         }
+        EXPECT_EQ(links.cost[k].etx, model.etx(v));
       }
       if (HasFailure()) {
         FAIL() << "diverged at seed " << seed << ", step " << step;
@@ -494,9 +497,9 @@ TEST(SelfHealingTest, BurstLossCausesOnlyTransientSuspicion) {
   // And the link is not permanently written off: by the horizon the
   // neighbors either trust each other again or are merely in a bounded
   // quarantine (never longer than the cap).
-  const auto& entries = net.neighbor_table(0).entries();
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_LE(entries[0].blacklist_until_s,
+  const NeighborTable table = net.neighbor_table(0);
+  ASSERT_EQ(table.end_slot() - table.first_slot(), 1u);
+  EXPECT_LE(table.links().state[table.first_slot()].blacklist_until_s,
             net.events().now() + kBlacklistCapS);
 }
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -11,11 +12,13 @@
 
 #include "obs/trace.h"
 #include "util/error.h"
+#include "util/geometry.h"
 #include "util/stats.h"
 #include "wsn/clock.h"
 #include "wsn/energy.h"
 #include "wsn/event_queue.h"
 #include "wsn/messages.h"
+#include "wsn/neighbor.h"
 #include "wsn/network.h"
 #include "wsn/radio.h"
 
@@ -459,6 +462,110 @@ TEST(NetworkTest, FaultPlanIdsOutsideGridThrow) {
       EXPECT_EQ(what.rfind("FaultPlan: ", 0), 0u) << c.list << ": " << what;
       EXPECT_NE(what.find("out of grid"), std::string::npos)
           << c.list << ": " << what;
+    }
+  }
+}
+
+// A link burst on a pair no hop joins would never fire, so the
+// constructor rejects it like an id outside the grid (ROADMAP #9).
+TEST(NetworkTest, LinkBurstOffTheAdjacencyThrows) {
+  struct Case {
+    const char* what;
+    RoutingMode routing;
+    NodeId a;
+    NodeId b;
+  };
+  const Case cases[] = {
+      {"far corners", RoutingMode::kSelfHealing, 0, 15},
+      {"self loop", RoutingMode::kSelfHealing, 5, 5},
+      // 50 m is a physical link, but below the oracle's PRR threshold.
+      {"oracle-excluded link", RoutingMode::kOracle, 0, 2},
+  };
+  for (const Case& c : cases) {
+    NetworkConfig cfg;
+    cfg.rows = 4;
+    cfg.cols = 4;
+    cfg.routing = c.routing;
+    cfg.faults.link_bursts.push_back({c.a, c.b, {}});
+    try {
+      Network net(cfg);
+      ADD_FAILURE() << c.what << ": burst off the adjacency accepted";
+    } catch (const util::InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("FaultPlan: ", 0), 0u) << c.what << ": " << what;
+      EXPECT_NE(what.find("radio neighbors"), std::string::npos)
+          << c.what << ": " << what;
+    }
+  }
+  // Either orientation of a deployed link is accepted, in both modes.
+  for (const RoutingMode mode :
+       {RoutingMode::kSelfHealing, RoutingMode::kOracle}) {
+    NetworkConfig cfg;
+    cfg.rows = 4;
+    cfg.cols = 4;
+    cfg.routing = mode;
+    cfg.faults.link_bursts.push_back({1, 0, {}});
+    cfg.faults.link_bursts.push_back({5, 6, {}});
+    EXPECT_NO_THROW(Network{cfg});
+  }
+}
+
+// Every deployed link has one slot per direction, fixed at construction
+// (DESIGN.md §5f): each node's slot range is exactly its spatial-query
+// neighbor list, the tables read the same ids, and each slot's reverse
+// is the other end's slot for the same link.
+TEST(NetworkTest, SlotLayoutMatchesTheSpatialQuery) {
+  struct Field {
+    std::size_t rows;
+    std::size_t cols;
+    double spacing_m;
+  };
+  const Field fields[] = {
+      {1, 30, 25.0}, {12, 12, 25.0}, {12, 12, 40.0}, {12, 12, 80.0}};
+  for (const Field& f : fields) {
+    NetworkConfig cfg;
+    cfg.rows = f.rows;
+    cfg.cols = f.cols;
+    cfg.spacing_m = f.spacing_m;
+    const Network net(cfg);
+    const std::size_t n = net.node_count();
+    const LinkSlots& links = net.neighbor_table(0).links();
+    ASSERT_EQ(links.offsets.size(), n + 1);
+    ASSERT_EQ(links.offsets.back(), links.ids.size());
+    ASSERT_EQ(links.reverse.size(), links.ids.size());
+    ASSERT_EQ(links.cost.size(), links.ids.size());
+    ASSERT_EQ(links.state.size(), links.ids.size());
+    for (NodeId u = 0; u < n; ++u) {
+      // Brute force, ascending: the lists the triangular scan produced.
+      std::vector<NodeId> expected;
+      for (NodeId v = 0; v < n; ++v) {
+        if (v != u && util::distance(net.node(u).anchor,
+                                     net.node(v).anchor) <=
+                          cfg.radio.max_range_m) {
+          expected.push_back(v);
+        }
+      }
+      const auto got = net.neighbors(u);
+      ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()), expected)
+          << f.spacing_m << " m field, node " << u;
+      const NeighborTable table = net.neighbor_table(u);
+      ASSERT_EQ(table.first_slot(), links.offsets[u]);
+      ASSERT_EQ(table.end_slot(), links.offsets[u + 1]);
+      EXPECT_EQ(got.data(), links.ids.data() + table.first_slot());
+      for (std::size_t k = table.first_slot(); k < table.end_slot(); ++k) {
+        const NodeId v = links.ids[k];
+        EXPECT_EQ(table.slot_of(v), k);
+        const std::size_t back = links.reverse[k];
+        ASSERT_LT(back, links.ids.size());
+        EXPECT_EQ(links.ids[back], u);
+        EXPECT_GE(back, links.offsets[v]);
+        EXPECT_LT(back, links.offsets[v + 1]);
+        EXPECT_EQ(links.reverse[back], k);
+      }
+      EXPECT_EQ(table.slot_of(u), std::nullopt);
+    }
+    if (f.spacing_m == 80.0) {
+      EXPECT_TRUE(links.ids.empty());
     }
   }
 }
