@@ -1,12 +1,12 @@
 // Fleet-scale scaling sweep (ROADMAP #1): adjacency construction through
 // the historical O(N^2) pairwise scan vs the uniform-grid spatial index,
 // plus end-to-end beacon-plane throughput (events/sec) of the windowed
-// sharded engine across field sizes and shard counts.
+// engine across field sizes.
 //
 //   --smoke        tiny sizes, each workload exactly once — deterministic
 //                  per-stage profile counts for the perf-trend gate
 //   (default)      full sweep: adjacency 100 -> 100k anchors, beacon
-//                  fields 100 -> ~100k nodes at 1 and 4 shards
+//                  fields 100 -> ~100k nodes
 //
 // Every benchmark runs Iterations(1): one iteration is a full workload,
 // and a fixed iteration count keeps the profile-registry counters in the
@@ -103,15 +103,14 @@ void BM_AdjacencyIndexed(benchmark::State& state) {
 }
 
 // Beacon-plane throughput of a full self-healing field: range(0) is the
-// grid side (nodes = side^2), range(1) the shard count. Construction
-// (boot discovery + adjacency) is excluded from the timed region so
-// items/sec reads as simulator events per wall second.
+// grid side (nodes = side^2). Construction (boot discovery + adjacency)
+// is excluded from the timed region, and the engine runs on the calling
+// thread, so items/sec reads as simulator events per wall second.
 void BM_FleetBeacons(benchmark::State& state) {
   const auto side = static_cast<std::size_t>(state.range(0));
   wsn::NetworkConfig cfg;
   cfg.rows = side;
   cfg.cols = side;
-  cfg.shards = static_cast<std::size_t>(state.range(1));
   std::int64_t events = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -148,12 +147,10 @@ void register_benchmarks(bool smoke) {
       smoke ? std::vector<std::int64_t>{10}
             : std::vector<std::int64_t>{10, 50, 100, 316};
   for (const std::int64_t side : sides) {
-    for (const std::int64_t shards : {1, 4}) {
-      benchmark::RegisterBenchmark("BM_FleetBeacons", BM_FleetBeacons)
-          ->Args({side, shards})
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
+    benchmark::RegisterBenchmark("BM_FleetBeacons", BM_FleetBeacons)
+        ->Arg(side)
+        ->Iterations(1)
+        ->Unit(benchmark::kMillisecond);
   }
 }
 

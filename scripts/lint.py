@@ -27,11 +27,13 @@ Enforces the discipline clang-tidy cannot express:
                     outcomes (kGaveUp).
   thread-funnel     no raw std::thread/std::jthread/std::async outside
                     src/util/parallel.* — all concurrency goes through
-                    util::ThreadPool/parallel_for, whose deterministic
-                    static chunking is what keeps parallel runs
-                    bit-identical to serial (DESIGN.md §5g). Ad-hoc
-                    threads would reintroduce schedule-dependent
-                    behaviour the determinism suite cannot pin.
+                    util::ThreadPool::parallel_for, whose contract (each
+                    index runs exactly once, writes only its own slot and
+                    draws from streams keyed by its own data) is what
+                    keeps parallel runs bit-identical to serial
+                    (DESIGN.md §5g). Ad-hoc threads would reintroduce
+                    schedule-dependent behaviour the determinism suite
+                    cannot pin.
   mutex-funnel      no raw std::mutex/lock_guard/unique_lock/scoped_lock/
                     shared_mutex/condition_variable outside
                     src/util/thread_annotations.h — all locking goes
@@ -334,8 +336,8 @@ class Linter:
                             f"raw concurrency primitive "
                             f"'{m.group(0).strip()}' outside the "
                             f"util::ThreadPool funnel — use "
-                            f"util::parallel_for so the deterministic "
-                            f"chunking keeps results schedule-independent")
+                            f"ThreadPool::parallel_for, whose per-index "
+                            f"contract keeps results schedule-independent")
             if check_mutex and "mutex-funnel" not in allowed:
                 for pat in MUTEX_PATTERNS:
                     m = pat.search(code)

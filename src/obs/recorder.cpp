@@ -49,8 +49,12 @@ void crash_dump_trampoline() {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(std::size_t capacity)
-    : capacity_(capacity), ring_(capacity) {}
+FlightRecorder::FlightRecorder(std::size_t capacity) : capacity_(capacity) {
+  util::require(capacity > 0, "FlightRecorder: capacity must be positive");
+  // Storage only: every slot is written before it is read.
+  const util::LockGuard lock(mu_);
+  ring_.reserve(capacity);
+}
 
 void FlightRecorder::record(Category cat, std::string_view name,
                             double sim_time_s,
@@ -90,7 +94,12 @@ void FlightRecorder::push(Category cat, std::string_view name,
     }
   }
   const util::LockGuard lock(mu_);
-  ring_.push(ev);
+  if (ring_.size() < capacity_) {
+    ring_.push_back(ev);
+  } else {
+    ring_[oldest_] = ev;
+    oldest_ = (oldest_ + 1) % capacity_;
+  }
   ++recorded_;
 }
 
@@ -107,6 +116,7 @@ std::uint64_t FlightRecorder::recorded_total() const {
 void FlightRecorder::clear() {
   const util::LockGuard lock(mu_);
   ring_.clear();
+  oldest_ = 0;
   recorded_ = 0;
 }
 
@@ -119,7 +129,7 @@ void FlightRecorder::dump(std::ostream& os, std::string_view reason) const {
   std::vector<Field> fields;
   fields.reserve(kMaxFields);
   for (std::size_t i = 0; i < ring_.size(); ++i) {
-    const Event ev = ring_.at(i);
+    const Event& ev = ring_[(oldest_ + i) % ring_.size()];
     fields.clear();
     for (std::size_t j = 0; j < ev.n_fields; ++j) {
       fields.push_back(ev.fields[j].view());

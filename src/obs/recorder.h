@@ -33,9 +33,9 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/trace.h"
-#include "util/ring_buffer.h"
 #include "util/thread_annotations.h"
 
 namespace sid::obs {
@@ -130,7 +130,11 @@ class FlightRecorder {
 
   std::size_t capacity_;
   mutable util::Mutex mu_;
-  util::RingBuffer<Event> ring_ SID_GUARDED_BY(mu_);
+  /// The retained events, filled as they arrive: it grows (inside the
+  /// capacity reserved at construction) until full, then `oldest_` is
+  /// the slot the next event overwrites.
+  std::vector<Event> ring_ SID_GUARDED_BY(mu_);
+  std::size_t oldest_ SID_GUARDED_BY(mu_) = 0;
   std::uint64_t recorded_ SID_GUARDED_BY(mu_) = 0;
   std::string auto_path_ SID_GUARDED_BY(mu_);
 };

@@ -8,7 +8,7 @@ ThreadPool::ThreadPool(std::size_t threads)
     : threads_(threads == 0 ? 1 : threads) {
   workers_.reserve(threads_ - 1);
   for (std::size_t w = 1; w < threads_; ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -21,28 +21,29 @@ ThreadPool::~ThreadPool() {
   for (auto& t : workers_) t.join();
 }
 
-void ThreadPool::run_chunk(std::size_t worker_index, std::size_t n,
-                           const std::function<void(std::size_t)>& body) {
-  // Static chunking: worker w owns [w*n/T, (w+1)*n/T). The bounds depend
-  // only on (n, T), so the set of indices each worker executes — and
-  // therefore every output slot it writes — is scheduling-independent.
-  const std::size_t begin = worker_index * n / threads_;
-  const std::size_t end = (worker_index + 1) * n / threads_;
+void ThreadPool::run_claimed(std::size_t n,
+                             const std::function<void(std::size_t)>& body) {
+  // Relaxed is enough: the counter only hands out indices, and every
+  // body's writes reach the caller through the mu_ handoff that ends the
+  // job.
   try {
-    for (std::size_t i = begin; i < end; ++i) body(i);
+    for (std::size_t i = next_index_.fetch_add(1, std::memory_order_relaxed);
+         i < n; i = next_index_.fetch_add(1, std::memory_order_relaxed)) {
+      body(i);
+    }
   } catch (...) {
     const LockGuard lock(mu_);
     if (!job_.error) job_.error = std::current_exception();
   }
 }
 
-void ThreadPool::worker_loop(std::size_t worker_index) {
+void ThreadPool::worker_loop() {
   std::size_t seen_generation = 0;
   for (;;) {
     // Snapshot the job description under the lock; the snapshot (not the
-    // guarded job_ fields) feeds the lock-free chunk execution. The
-    // pointee stays valid until parallel_for returns, which cannot happen
-    // before this worker decrements pending below.
+    // guarded job_ fields) feeds the lock-free claiming loop. The pointee
+    // stays valid until parallel_for returns, which cannot happen before
+    // this worker decrements pending below.
     std::size_t n = 0;
     const std::function<void(std::size_t)>* body = nullptr;
     {
@@ -55,7 +56,7 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       n = job_.n;
       body = job_.body;
     }
-    run_chunk(worker_index, n, *body);
+    run_claimed(n, *body);
     bool last = false;
     {
       const LockGuard lock(mu_);
@@ -74,6 +75,7 @@ void ThreadPool::parallel_for(std::size_t n,
   }
   {
     const LockGuard lock(mu_);
+    next_index_.store(0, std::memory_order_relaxed);
     job_.n = n;
     job_.body = &body;
     job_.pending = threads_ - 1;
@@ -81,7 +83,7 @@ void ThreadPool::parallel_for(std::size_t n,
     ++job_.generation;
   }
   job_ready_.notify_all();
-  run_chunk(0, n, body);  // the caller is worker 0
+  run_claimed(n, body);  // the caller claims indices too
   std::exception_ptr error;
   {
     const LockGuard lock(mu_);
@@ -90,20 +92,6 @@ void ThreadPool::parallel_for(std::size_t n,
     error = std::exchange(job_.error, nullptr);
   }
   if (error) std::rethrow_exception(error);
-}
-
-void parallel_for(ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& body) {
-  if (pool == nullptr || pool->thread_count() == 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  pool->parallel_for(n, body);
-}
-
-std::size_t hardware_threads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
 }  // namespace sid::util

@@ -1,19 +1,21 @@
 // Deterministic parallel execution (DESIGN.md §5g).
 //
-// A small fixed-size thread pool with a work-stealing-free parallel_for:
-// the index range [0, n) is split into contiguous chunks by a pure
-// function of (n, worker count), each worker owns its chunks outright, and
-// the caller participates as worker 0. Because the partition never depends
-// on runtime timing and workers share no mutable state through the loop
-// body (each index writes only its own output slot), a parallel run is
-// bit-identical to the serial loop — the property the determinism suite
-// enforces (same seed => same hashes at any thread count).
+// A small fixed-size thread pool with a self-balancing parallel_for: the
+// workers, the caller among them, claim the indices of [0, n) one at a
+// time from a shared counter until none is left, so a slow index holds
+// back only the worker running it. Which worker runs an index is a race
+// outcome and never shows in the results: each index writes only its
+// own output slot and draws from streams keyed by its own data, so a
+// parallel run is bit-identical to the serial loop — the property the
+// determinism suite enforces (same seed => same hashes at any thread
+// count).
 //
 // This header is the single concurrency funnel of the repository:
 // scripts/lint.py (rule `thread-funnel`) bans raw std::thread/std::async
 // everywhere else, so all parallelism inherits these ordering guarantees.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <exception>
 #include <functional>
@@ -39,14 +41,15 @@ class ThreadPool {
 
   std::size_t thread_count() const { return threads_; }
 
-  /// Runs body(i) for every i in [0, n), blocking until all complete.
+  /// Runs body(i) for every i in [0, n) exactly once, blocking until all
+  /// complete.
   ///
-  /// Partition: worker w (0 = caller) executes the contiguous index range
-  /// [w*n/T, (w+1)*n/T) in ascending order — a pure function of (n, T),
-  /// independent of scheduling. The body must not mutate state shared
-  /// between indices; under that contract results are bit-identical to
-  /// the serial loop for every T. The first exception thrown by any
-  /// worker is rethrown on the calling thread after all workers finish.
+  /// Scheduling: every worker (the caller included) takes the next
+  /// unclaimed index until none is left. The body must not mutate state
+  /// shared between indices; under that contract results are
+  /// bit-identical to the serial loop for every T, whichever worker ran
+  /// which index. A worker whose body throws stops claiming; the first
+  /// exception is rethrown on the calling thread after all workers stop.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
 
@@ -59,12 +62,13 @@ class ThreadPool {
     std::exception_ptr error;
   };
 
-  void worker_loop(std::size_t worker_index);
-  /// Executes worker `worker_index`'s chunk of [0, n). The job description
-  /// is passed by value/reference (snapshotted under mu_ by the caller),
-  /// so the chunk itself runs lock-free; only error capture reacquires.
-  void run_chunk(std::size_t worker_index, std::size_t n,
-                 const std::function<void(std::size_t)>& body)
+  void worker_loop();
+  /// Claims and runs indices of [0, n) until none is left. The job
+  /// description is passed by value/reference (snapshotted under mu_ by
+  /// the caller), so the loop itself runs lock-free; only error capture
+  /// reacquires.
+  void run_claimed(std::size_t n,
+                   const std::function<void(std::size_t)>& body)
       SID_EXCLUDES(mu_);
 
   std::size_t threads_;
@@ -74,17 +78,9 @@ class ThreadPool {
   CondVar job_done_;
   Job job_ SID_GUARDED_BY(mu_);
   bool stop_ SID_GUARDED_BY(mu_) = false;
+  /// The next unclaimed index of the running job. Reset under mu_ before
+  /// the job is published; workers see the reset through that lock.
+  std::atomic<std::size_t> next_index_{0};
 };
-
-/// Convenience wrapper: serial loop when `pool` is null or single-threaded,
-/// pool->parallel_for otherwise. Lets call sites thread an optional pool
-/// through without branching.
-void parallel_for(ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& body);
-
-/// Hardware thread count, normalized to >= 1 (hardware_concurrency may
-/// report 0). Sizing hint only — it must never influence simulation
-/// results, only how many workers compute them.
-std::size_t hardware_threads();
 
 }  // namespace sid::util

@@ -125,6 +125,19 @@ LinkState NeighborTable::booted(const std::vector<bool>& receptions) {
   return state;
 }
 
+NeighborTable::BootTable NeighborTable::boot_table() {
+  BootTable table;
+  std::vector<bool> receptions(kBootRounds);
+  for (std::size_t pattern = 0; pattern < BootTable::kPatterns; ++pattern) {
+    for (std::size_t r = 0; r < kBootRounds; ++r) {
+      receptions[r] = ((pattern >> r) & 1u) != 0;
+    }
+    table.state[pattern] = booted(receptions);
+    table.cost[pattern] = cost_of(table.state[pattern]);
+  }
+  return table;
+}
+
 void NeighborTable::boot_neighbor(NodeId id,
                                   const std::vector<bool>& receptions) {
   util::require(owned_ != nullptr,

@@ -19,6 +19,7 @@
 // and consults it for routing; nothing here can cheat.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -71,6 +72,9 @@ static_assert(kEwmaAlpha >= 0.0 && kEwmaAlpha <= 1.0,
               "EWMA weight must be in [0, 1]");
 static_assert(kLivenessWindowN <= 8,
               "the slot window must fit LinkState::slot_bits");
+static_assert(kBootRounds <= 8,
+              "a boot reception pattern fits one byte (NeighborTable::"
+              "BootTable)");
 
 /// The route search's half of a learned link, 16 bytes: besides the
 /// neighbor's id (LinkSlots::ids) it is all the search reads. The table
@@ -180,6 +184,17 @@ class NeighborTable {
   static LinkState booted(const std::vector<bool>& receptions);
   /// The cached cost of a link in `state`.
   static LinkCost cost_of(const LinkState& state);
+
+  /// A booted link for every outcome of the kBootRounds boot rounds:
+  /// bit r of a pattern is round r's reception (round 0 oldest), and
+  /// entry p is booted() and cost_of() of pattern p. A field's
+  /// construction copies each slot from it (DESIGN.md §5f).
+  struct BootTable {
+    static constexpr std::size_t kPatterns = std::size_t{1} << kBootRounds;
+    std::array<LinkState, kPatterns> state;
+    std::array<LinkCost, kPatterns> cost;
+  };
+  static BootTable boot_table();
 
   /// Processes one received hello beacon. Returns true when this beacon
   /// cleared an active suspicion (i.e. the suspicion was false).

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <deque>
 #include <limits>
-#include <memory>
 #include <string_view>
 #include <unordered_set>
 #include <utility>
@@ -183,7 +182,14 @@ Network::Network(const NetworkConfig& config)
   }
   faults_.index_links(links_.ids.size() / 2, burst_links);
   if (config_.routing == RoutingMode::kSelfHealing) boot_discovery();
-  build_shards();
+  // Per-node beacon streams: sub-stream 1 + id under the beacon seed.
+  // Boot discovery keeps the one shared beacon_rng_.
+  node_rngs_.reserve(nodes_.size());
+  const std::uint64_t beacon_seed =
+      util::derive_seed(config_.seed, kBeaconStream);
+  for (std::size_t id = 0; id < nodes_.size(); ++id) {
+    node_rngs_.emplace_back(beacon_seed, 1 + id);
+  }
   const auto check_id = [this](NodeId id, const char* what) {
     util::require(id < nodes_.size(), what);
   };
@@ -348,19 +354,22 @@ void Network::boot_discovery() {
     if (p_by_length.size() < kMaxLengths) p_by_length.emplace_back(d, p);
     return p;
   };
-  std::vector<bool> receptions(kBootRounds);
+  // A booted link depends on its round outcomes alone, so each slot
+  // draws its rounds into a pattern and copies that pattern's link.
+  const NeighborTable::BootTable boot = NeighborTable::boot_table();
   for (NodeId u = 0; u < nodes_.size(); ++u) {
     for (std::size_t k = links_.offsets[u]; k < links_.offsets[u + 1]; ++k) {
       const NodeId v = links_.ids[k];
       const double p =
           reception_p(util::distance(nodes_[u].anchor, nodes_[v].anchor));
-      for (std::size_t r = 0; r < receptions.size(); ++r) {
-        receptions[r] = beacon_rng_.bernoulli(p);
+      std::size_t pattern = 0;
+      for (std::size_t r = 0; r < kBootRounds; ++r) {
+        if (beacon_rng_.bernoulli(p)) pattern |= std::size_t{1} << r;
       }
       // Orientation: slot (u, v) estimates the v -> u inbound link from
       // v's boot beacons as heard at u.
-      links_.state[k] = NeighborTable::booted(receptions);
-      links_.cost[k] = NeighborTable::cost_of(links_.state[k]);
+      links_.state[k] = boot.state[pattern];
+      links_.cost[k] = boot.cost[pattern];
     }
   }
 }
@@ -447,55 +456,25 @@ void Network::start_beacons(double until_s) {
   const double now = events_.now();
   // Stagger first beacons uniformly over one period so the field
   // desynchronizes from the start (randomized jitter keeps it so). Each
-  // node's offset comes from its own derived stream and its tick lives on
-  // its owner shard's lane, so the schedule is a function of the node
-  // alone — identical for every shard count (DESIGN.md §5l).
+  // node's offset comes from its own derived stream, so the schedule is
+  // a function of the node alone (DESIGN.md §5l).
   for (const NodeInfo& info : nodes_) {
     const NodeId id = info.id;
-    const std::size_t s = node_shard_[id];
     const double offset = node_rngs_[id].uniform(0.0, kBeaconPeriodS);
-    shards_[s].lane.schedule_at(now + offset,
-                                [this, s, id] { beacon_tick(s, id); });
+    beacon_lane_.schedule_at(now + offset, [this, id] { beacon_tick(id); });
   }
 }
 
-void Network::build_shards() {
-  const std::size_t k = config_.shards;
-  shards_.resize(k);
-  node_shard_.assign(nodes_.size(), 0);
-  // Contiguous-id stripes (row-major deployment => row stripes): shard s
-  // owns [s*N/K, (s+1)*N/K). The mapping only decides which lane runs a
-  // node's ticks — every draw the tick makes comes from the node's own
-  // stream, so the mapping never shows up in the results.
-  for (std::size_t s = 0; s < k; ++s) {
-    shards_[s].begin = static_cast<NodeId>(s * nodes_.size() / k);
-    shards_[s].end = static_cast<NodeId>((s + 1) * nodes_.size() / k);
-    for (NodeId id = shards_[s].begin; id < shards_[s].end; ++id) {
-      node_shard_[id] = s;
-    }
-  }
-  // Per-node beacon streams: sub-stream 1 + id under the beacon seed.
-  // Boot discovery keeps the one shared beacon_rng_ because it runs
-  // serially at construction for every shard count.
-  node_rngs_.reserve(nodes_.size());
-  const std::uint64_t beacon_seed =
-      util::derive_seed(config_.seed, kBeaconStream);
-  for (std::size_t id = 0; id < nodes_.size(); ++id) {
-    node_rngs_.emplace_back(beacon_seed, 1 + id);
-  }
-}
-
-void Network::beacon_tick(std::size_t s, NodeId id) {
-  Shard& shard = shards_[s];
-  const double t = shard.lane.now();
+void Network::beacon_tick(NodeId id) {
+  const double t = beacon_lane_.now();
   // Crash-stop / depletion: a dead node falls silent for good. Energy
   // state is frozen during phase A (spends happen at commit), so every
-  // shard sees the same window-start snapshot.
+  // tick of a window sees the same window-start snapshot.
   if (!node_operational(id, t)) return;
   BeaconTickRecord rec;
   rec.t = t;
   rec.sender = id;
-  // The sweep mutates only the sender's own slots, which this shard owns.
+  // The sweep mutates only the sender's own slots.
   rec.suspects = table(id).sweep(t);
   const double extra_loss = radio_.config().extra_loss_probability;
   for (std::uint32_t k = links_.offsets[id]; k < links_.offsets[id + 1];
@@ -514,42 +493,39 @@ void Network::beacon_tick(std::size_t s, NodeId id) {
     if (!qview_.empty() && qview_[v][id] != 0) continue;
     rec.receivers.push_back(k);
   }
-  shard.records.push_back(std::move(rec));
+  beacon_outbox_.push_back(std::move(rec));
   const double next =
       t + kBeaconPeriodS + node_rngs_[id].uniform(0.0, kBeaconJitterS);
   if (next <= beacons_until_) {
-    shard.lane.schedule_at(next, [this, s, id] { beacon_tick(s, id); });
+    beacon_lane_.schedule_at(next, [this, id] { beacon_tick(id); });
   }
 }
 
 void Network::commit_beacon_records() {
-  // Canonical commit order: (time, sender). At most one tick per sender
-  // per instant, so the order — and with it every counter bump, energy
-  // spend, shared fault-stream draw and table update — is a pure function
-  // of the record set, never of the shard count that produced it.
-  std::vector<const BeaconTickRecord*> order;
-  for (const Shard& shard : shards_) {
-    for (const BeaconTickRecord& rec : shard.records) order.push_back(&rec);
-  }
-  std::sort(order.begin(), order.end(),
-            [](const BeaconTickRecord* a, const BeaconTickRecord* b) {
-              if (a->t != b->t) return a->t < b->t;
-              return a->sender < b->sender;
+  // Canonical commit order: (time, sender). The lane pops equal times in
+  // insertion order, so the sort is what fixes the order. At most one
+  // tick per sender per instant, so the order — and with it every
+  // counter bump, energy spend, shared fault-stream draw and table
+  // update — is a pure function of the record set.
+  std::sort(beacon_outbox_.begin(), beacon_outbox_.end(),
+            [](const BeaconTickRecord& a, const BeaconTickRecord& b) {
+              if (a.t != b.t) return a.t < b.t;
+              return a.sender < b.sender;
             });
-  for (const BeaconTickRecord* rec : order) {
-    const NodeId u = rec->sender;
-    for (const NodeId suspect : rec->suspects) {
-      note_suspicion(u, suspect, rec->t);
+  for (const BeaconTickRecord& rec : beacon_outbox_) {
+    const NodeId u = rec.sender;
+    for (const NodeId suspect : rec.suspects) {
+      note_suspicion(u, suspect, rec.t);
     }
     counters_.beacons_sent.add();
     nodes_[u].energy.spend_tx(kBeaconBytes);
     counters_.bytes_sent.add(kBeaconBytes);
-    for (const std::uint32_t s : rec->receivers) {
+    for (const std::uint32_t s : rec.receivers) {
       const NodeId v = links_.ids[s];
       // The receiver's slot for the sender: the link its beacon updates.
       const std::size_t back = links_.reverse[s];
       if (faults_.active()) {
-        if (faults_.congestion_drops(rec->t)) {
+        if (faults_.congestion_drops(rec.t)) {
           counters_.congestion_losses.add();
           continue;
         }
@@ -560,7 +536,7 @@ void Network::commit_beacon_records() {
       }
       nodes_[v].energy.spend_rx(kBeaconBytes);
       counters_.beacon_receptions.add();
-      if (table(v).on_beacon_at(back)) note_false_suspicion(v, u, rec->t);
+      if (table(v).on_beacon_at(back)) note_false_suspicion(v, u, rec.t);
     }
   }
 }
@@ -568,55 +544,36 @@ void Network::commit_beacon_records() {
 std::size_t Network::run_events() {
   // Conservative lookahead: no cross-node effect can propagate faster
   // than the fixed part of the hop delay (the exponential jitter only
-  // adds to it), so events inside [t0, t0 + W] on different shards are
-  // causally independent and may run speculatively. The constructor
-  // guarantees W > 0.
+  // adds to it), so the beacon ticks inside [t0, t0 + W] are causally
+  // independent of one another and may run speculatively. The
+  // constructor guarantees W > 0.
   const double lookahead = radio_.config().hop_delay_fixed_s;
-  if (shard_pool_ == nullptr && config_.shards > 1) {
-    // One worker per shard, capped at the hardware width. The cap (like
-    // the pool itself) only decides who computes — never what.
-    shard_pool_ = std::make_unique<util::ThreadPool>(
-        std::min(config_.shards, util::hardware_threads()));
-  }
   std::size_t executed = 0;
   for (;;) {
-    // Window start = earliest pending event across all lanes and the
-    // global queue; identical for every shard count because the union of
-    // pending events is.
+    // Window start = earliest pending event of the lane and the global
+    // queue.
     double t0 = std::numeric_limits<double>::infinity();
-    if (!events_.empty()) t0 = std::min(t0, events_.next_time());
-    for (const Shard& shard : shards_) {
-      if (!shard.lane.empty()) t0 = std::min(t0, shard.lane.next_time());
-    }
+    if (!events_.empty()) t0 = events_.next_time();
+    if (!beacon_lane_.empty()) t0 = std::min(t0, beacon_lane_.next_time());
     if (t0 == std::numeric_limits<double>::infinity()) break;
     const double window_end = t0 + lookahead;
     SID_PROFILE_STAGE(obs::Stage::kShardWindow);
-    // Phase A: each shard speculatively runs its lane through the
-    // window, drawing only from per-node streams and mutating only
-    // shard-owned state; cross-node effects land in per-shard outboxes.
-    std::vector<std::size_t> lane_executed(shards_.size(), 0);
-    util::parallel_for(shard_pool_.get(), shards_.size(),
-                       [this, window_end, &lane_executed](std::size_t s) {
-                         shards_[s].records.clear();
-                         if (shards_[s].lane.now() <= window_end) {
-                           lane_executed[s] =
-                               shards_[s].lane.run_until(window_end);
-                         }
-                       });
-    for (const std::size_t n : lane_executed) executed += n;
-    // Phase B: serial commit in canonical (time, sender) order.
+    // Phase A: the lane runs the window's beacon ticks, each drawing only
+    // from its node's stream and mutating only its node's slots;
+    // cross-node effects land in the outbox.
+    beacon_outbox_.clear();
+    executed += beacon_lane_.run_until(window_end);
+    // Phase B: commit in canonical (time, sender) order.
     commit_beacon_records();
     // Phase C: the global queue (data path, attacks, telemetry) runs the
-    // same window serially.
+    // same window.
     executed += events_.run_until(window_end);
   }
   return executed;
 }
 
 std::size_t Network::events_executed_total() const {
-  std::size_t total = events_.executed_total();
-  for (const Shard& shard : shards_) total += shard.lane.executed_total();
-  return total;
+  return events_.executed_total() + beacon_lane_.executed_total();
 }
 
 std::optional<std::vector<NodeId>> Network::shortest_path(NodeId from,

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -23,7 +22,6 @@
 #include "obs/recorder.h"
 #include "obs/trace.h"
 #include "util/geometry.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 #include "wsn/clock.h"
 #include "wsn/defense.h"
@@ -114,13 +112,12 @@ struct NetworkConfig {
   /// kNoParent note in wsn/messages.h), and SidSystem accepts decisions
   /// and contacts here and guards it when the defense is on.
   NodeId sink_node = 0;
-  /// Spatial shards of the beacon plane (K >= 1; 0 is rejected). The
-  /// field is striped into K contiguous-id slices, each with its own
-  /// event-queue lane, and every node draws from its own derived RNG
-  /// stream; lanes and the global queue advance through a conservative
-  /// time-windowed barrier (lookahead = RadioConfig::hop_delay_fixed_s,
-  /// which must be positive). Runs are bit-identical for every K, so K
-  /// is a throughput hint only (DESIGN.md §5l).
+  /// Validated (K >= 1; 0 is rejected) and otherwise without effect:
+  /// the beacon plane runs on one serial lane (DESIGN.md §5l). It stays
+  /// because the benchmark harness (bench/e2e/workloads.cpp) sets it,
+  /// and that harness changes only in a benchmark change of its own,
+  /// which deletes it together with `sid_cli --shards` and their
+  /// determinism checks (ROADMAP #3).
   std::size_t shards = 1;
 };
 
@@ -205,16 +202,16 @@ class Network {
 
   /// The global queue (data path, protocol timers, attacks, telemetry).
   /// Schedule on it freely, but drive it only through run_events():
-  /// draining it directly would leave the beacon lanes idle.
+  /// draining it directly would leave the beacon lane idle.
   EventQueue& events() { return events_; }
   const NetworkConfig& config() const { return config_; }
 
   /// Runs the simulation to completion through the windowed engine
-  /// (beacon lanes + global queue, DESIGN.md §5l). Returns the number of
+  /// (beacon lane + global queue, DESIGN.md §5l). Returns the number of
   /// events executed.
   std::size_t run_events();
 
-  /// Events executed so far across the global queue and all shard lanes.
+  /// Events executed so far on the global queue and the beacon lane.
   std::size_t events_executed_total() const;
 
   /// The node kSinkId-addressed messages resolve to.
@@ -362,10 +359,9 @@ class Network {
     return id == kSinkId ? config_.sink_node : id;
   }
   /// Windowed engine (DESIGN.md §5l) --------------------------------------
-  /// One cross-node interaction computed speculatively inside a shard
-  /// window: a node's beacon broadcast plus the fresh suspicions its
-  /// table sweep raised. Committed serially in canonical (time, sender)
-  /// order, which makes the result independent of the shard count.
+  /// One cross-node interaction computed speculatively inside a window:
+  /// a node's beacon broadcast plus the fresh suspicions its table sweep
+  /// raised. Committed in canonical (time, sender) order.
   struct BeaconTickRecord {
     double t = 0.0;
     NodeId sender = 0;
@@ -377,20 +373,12 @@ class Network {
     /// Gilbert–Elliott chains advance canonically.
     std::vector<std::uint32_t> receivers;
   };
-  struct Shard {
-    NodeId begin = 0;  ///< first owned node id
-    NodeId end = 0;    ///< one past the last owned node id
-    EventQueue lane;   ///< beacon-plane events of the owned slice
-    std::vector<BeaconTickRecord> records;  ///< window outbox
-  };
-  /// Builds shard stripes, per-node RNG streams and the worker pool.
-  void build_shards();
-  /// Phase-A beacon tick inside shard `s`: sweeps the sender's table,
+  /// Phase-A beacon tick of node `id`: sweeps the sender's table,
   /// samples its hello's receptions from the sender's own derived stream,
-  /// appends the cross-node effects to the shard's outbox, and
-  /// reschedules until the beacon horizon.
-  void beacon_tick(std::size_t s, NodeId id);
-  /// Commits one window's outboxes in canonical (time, sender) order.
+  /// appends the cross-node effects to the outbox, and reschedules until
+  /// the beacon horizon.
+  void beacon_tick(NodeId id);
+  /// Commits one window's outbox in canonical (time, sender) order.
   void commit_beacon_records();
   /// Routing dispatch: oracle BFS or the learned-table ETX search.
   std::optional<std::vector<NodeId>> shortest_path(NodeId from, NodeId to,
@@ -519,22 +507,19 @@ class Network {
   /// v sits within radio range of replay attacker i (precomputed via the
   /// spatial index; replaces the per-hop O(N) distance scan).
   std::vector<std::vector<std::uint8_t>> replay_hearing_;
-  /// Beacon-plane shards (NetworkConfig::shards of them).
-  std::vector<Shard> shards_;
-  /// Owning shard of each node.
-  std::vector<std::size_t> node_shard_;
+  /// The beacon plane's event lane: every node's ticks (phase A).
+  EventQueue beacon_lane_;
+  /// The current window's beacon ticks, committed in phase B.
+  std::vector<BeaconTickRecord> beacon_outbox_;
   /// Per-node beacon RNG streams: node i draws reception samples and tick
   /// jitter from Rng(derive_seed(master, kBeaconStream'), 1 + i), making
-  /// the draw sequence a function of the node alone — never of the shard
-  /// count or interleaving.
+  /// the draw sequence a function of the node alone — never of the order
+  /// in which the lane runs one window's ticks.
   std::vector<util::Rng> node_rngs_;
-  /// Fixed worker pool for phase A (created lazily on the first run with
-  /// K > 1; one worker per shard, capped at the hardware concurrency).
-  std::unique_ptr<util::ThreadPool> shard_pool_;
   /// learned_path scratch, sized to the field on first use and reset
   /// through `touched` so a search costs only what it explores. Routes
-  /// are computed on the global queue and from API calls only, never in
-  /// the phase-A beacon lanes, so one copy serves every search.
+  /// are computed on the global queue and from API calls only, never on
+  /// the phase-A beacon lane, so one copy serves every search.
   struct RouteItem {
     double key = 0.0;  ///< cost so far + lower bound to the target
     NodeId node = 0;

@@ -1,12 +1,14 @@
-// Unit tests for the deterministic thread pool (util/parallel.h): chunk
-// ownership, result ordering, exception propagation, degenerate shapes,
+// Unit tests for the deterministic thread pool (util/parallel.h): index
+// claiming, result ordering, exception propagation, degenerate shapes,
 // and pool reuse. The end-to-end bit-identity claims live in
 // determinism_test.cpp; this file pins the pool mechanics they rest on.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/parallel.h"
@@ -92,19 +94,39 @@ TEST(ThreadPoolTest, ReusableAcrossManyCalls) {
   EXPECT_EQ(total.load(), 50L * (63L * 64L / 2L));
 }
 
-TEST(ParallelForTest, NullPoolRunsSerial) {
-  std::vector<int> out(5, 0);
-  parallel_for(nullptr, out.size(), [&](std::size_t i) {
-    out[i] = static_cast<int>(i);
+TEST(ThreadPoolTest, SlowIndexDoesNotHoldBackTheRest) {
+  // Index 0 returns only once every other index has run (or a bounded
+  // wait runs out, so the test cannot hang). Claimed indices let the other
+  // workers finish the range meanwhile; a static partition would queue
+  // index 0's chunk-mates behind it and run out the deadline.
+  constexpr std::size_t kN = 16;
+  ThreadPool pool(4);
+  std::atomic<std::size_t> others_done{0};
+  bool waited_out = false;
+  pool.parallel_for(kN, [&](std::size_t i) {
+    if (i != 0) {
+      others_done.fetch_add(1, std::memory_order_release);
+      return;
+    }
+    // At least 10 s in 1 ms naps; the bound needs no clock read.
+    for (int nap = 0; others_done.load(std::memory_order_acquire) < kN - 1;
+         ++nap) {
+      if (nap == 10000) {
+        waited_out = true;
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   });
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_FALSE(waited_out) << "the other indices waited for index 0";
+  EXPECT_EQ(others_done.load(), kN - 1);
 }
 
 TEST(ParallelForTest, SingleThreadPoolRunsSerial) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.thread_count(), 1u);
   std::vector<int> out(4, 0);
-  parallel_for(&pool, out.size(), [&](std::size_t i) {
+  pool.parallel_for(out.size(), [&](std::size_t i) {
     out[i] = static_cast<int>(i) * 2;
   });
   EXPECT_EQ(out, (std::vector<int>{0, 2, 4, 6}));

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -156,6 +157,41 @@ TEST(NeighborTableTest, BootRoundsSeedLinkQuality) {
   EXPECT_EQ(table.quality(3), 0.0);    // never heard of
   EXPECT_GT(table.etx(2), table.etx(1));
   EXPECT_TRUE(table.any_usable(0.0));
+}
+
+TEST(NeighborTableTest, BootTableEntriesMatchBootedPatterns) {
+  // A field copies every slot's boot state from this table, so each entry
+  // must be exactly what booted() and cost_of() make of its pattern.
+  const NeighborTable::BootTable table = NeighborTable::boot_table();
+  ASSERT_EQ(NeighborTable::BootTable::kPatterns, std::size_t{1} << kBootRounds);
+  for (std::size_t pattern = 0; pattern < NeighborTable::BootTable::kPatterns;
+       ++pattern) {
+    std::vector<bool> receptions(kBootRounds);
+    for (std::size_t r = 0; r < kBootRounds; ++r) {
+      receptions[r] = ((pattern >> r) & 1u) != 0;
+    }
+    const LinkState want = NeighborTable::booted(receptions);
+    const LinkCost want_cost = NeighborTable::cost_of(want);
+    const LinkState& got = table.state[pattern];
+    const LinkCost& got_cost = table.cost[pattern];
+    EXPECT_EQ(got.slot_bits, want.slot_bits) << pattern;
+    EXPECT_EQ(got.slots_observed, want.slots_observed) << pattern;
+    EXPECT_EQ(got.consecutive_tx_failures, want.consecutive_tx_failures)
+        << pattern;
+    EXPECT_EQ(got.suspicion_streak, want.suspicion_streak) << pattern;
+    EXPECT_EQ(got.heard_this_slot, want.heard_this_slot) << pattern;
+    EXPECT_EQ(got.suspected, want.suspected) << pattern;
+    EXPECT_EQ(got.quality, want.quality) << pattern;
+    EXPECT_EQ(got.blacklist_until_s, want.blacklist_until_s) << pattern;
+    EXPECT_EQ(got_cost.etx, want_cost.etx) << pattern;
+    EXPECT_EQ(got_cost.blocked_until_s, want_cost.blocked_until_s)
+        << pattern;
+  }
+  // Bit r is round r, oldest first: round 0 ends up deepest in the slot
+  // window, the last round newest.
+  const std::size_t last = kBootRounds - 1;
+  EXPECT_EQ(table.state[1].slot_bits, 1u << last);
+  EXPECT_EQ(table.state[std::size_t{1} << last].slot_bits, 1u);
 }
 
 TEST(NeighborTableTest, MissedBeaconsRaiseSuspicionThatABeaconClears) {
