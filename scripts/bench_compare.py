@@ -7,11 +7,12 @@ tolerance factor. Wall-clock timings are machine- and load-dependent, so
 the default tolerance is deliberately loose (5x): the gate catches
 order-of-magnitude regressions — an accidentally quadratic loop, a lock
 on the hot path — not single-digit-percent noise. Invocation *counts* get
-a much tighter relative tolerance of their own. They repeat exactly only
-where the bench pins its iteration count (perf_detector, perf_dsp and
-ext_acoustic_fusion pin Iterations() on every benchmark that records a
-stage); wherever google-benchmark sizes the iteration count by wall time
-(fleet_sweep), the counts follow the host's speed too.
+a much tighter relative tolerance of their own. They repeat exactly
+because every compared bench pins its iteration count: perf_detector,
+perf_dsp and ext_acoustic_fusion pin Iterations() on every benchmark
+that records a stage, and fleet_sweep runs every benchmark
+Iterations(1). A benchmark left to google-benchmark's wall-time sizing
+would make its counts follow the host's speed.
 
 Counters and gauges are reported informationally (they change whenever
 the protocol legitimately changes); pass --check-counters to gate on them

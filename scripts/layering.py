@@ -19,10 +19,11 @@ Replaces regex-only layering discipline with a real dependency check
                      includes a harness tree, so bench stays a leaf.
   module-dep         a file named in the manifest's [modules] table promises
                      a *tighter* dependency set than its layer (e.g.
-                     wsn/spatial_index depends on util only, so the index
-                     stays reusable below the delivery layer). Its includes
-                     may reach its own header pair and the listed layers,
-                     nothing else — not even the rest of its own layer.
+                     core/fusion depends on util and obs only, so the
+                     fuser never reaches into a sensing or network layer).
+                     Its includes may reach its own header pair and the
+                     listed layers, nothing else — not even the rest of
+                     its own layer.
   include-cycle      the file-level include graph must be acyclic (#pragma
                      once hides cycles from the compiler; they are still a
                      layering fault).

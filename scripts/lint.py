@@ -27,7 +27,7 @@ Enforces the discipline clang-tidy cannot express:
                     outcomes (kGaveUp).
   thread-funnel     no raw std::thread/std::jthread/std::async outside
                     src/util/parallel.* — all concurrency goes through
-                    util::ThreadPool::parallel_for, whose contract (each
+                    util::parallel_for, whose contract (each
                     index runs exactly once, writes only its own slot and
                     draws from streams keyed by its own data) is what
                     keeps parallel runs bit-identical to serial
@@ -37,7 +37,7 @@ Enforces the discipline clang-tidy cannot express:
   mutex-funnel      no raw std::mutex/lock_guard/unique_lock/scoped_lock/
                     shared_mutex/condition_variable outside
                     src/util/thread_annotations.h — all locking goes
-                    through the annotated util::Mutex/LockGuard/CondVar
+                    through the annotated util::Mutex/LockGuard
                     wrappers so Clang's -Wthread-safety capability
                     analysis sees every acquisition (DESIGN.md §5i). A
                     raw primitive would be invisible to the analysis and
@@ -51,15 +51,15 @@ Enforces the discipline clang-tidy cannot express:
                     protocol code poke the tables/ledgers directly would
                     bypass the admission funnel the defense audits.
   spatial-funnel    no all-pairs triangular scan (`for (j = i + 1; j < N`)
-                    in src/ outside src/wsn/spatial_index.* — range and
-                    neighborhood queries go through the uniform-grid
-                    SpatialIndex (DESIGN.md §5l), whose grid==brute-force
-                    property test keeps results byte-identical to the
-                    historical O(N^2) loops. A fresh pairwise scan would
-                    quietly reintroduce the quadratic wall the fleet_sweep
-                    bench exists to keep down. (Tests and benches may
-                    brute-force freely: they are the oracle the index is
-                    checked against.)
+                    anywhere in src/ — radio neighborhoods come from the
+                    grid walk in Network::build_adjacency (DESIGN.md
+                    §5l), which visits only the grid offsets within
+                    range, and NetworkTest.SlotLayoutMatchesABruteForceScan
+                    keeps it byte-identical to the all-pairs scan. A fresh
+                    pairwise scan would quietly reintroduce the quadratic
+                    wall fleet_sweep's BM_FieldSetup exists to keep down.
+                    (Tests and benches may brute-force freely: they are
+                    the oracle the walk is checked against.)
   span-funnel       no direct Tracer::emit_span call in src/ outside
                     src/obs/ — span records are emitted through the
                     SID_SPAN macro only (obs/span.h), so the
@@ -120,9 +120,9 @@ ORACLE_PATTERNS = (
     re.compile(r"(?<![A-Za-z0-9_])prr\s*\("),
 )
 
-# The concurrency funnel: only the deterministic thread pool may spawn
-# threads. (std::this_thread is fine — the pattern requires `thread` right
-# after `std::`.)
+# The concurrency funnel: only util::parallel_for may start threads.
+# (std::this_thread is fine — the pattern requires `thread` right after
+# `std::`.)
 THREAD_ALLOWED = {
     Path("src/util/parallel.h"), Path("src/util/parallel.cpp"),
 }
@@ -161,13 +161,8 @@ DEFENSE_FUNNEL_PATTERNS = (
     re.compile(r"\.\s*(?:assess(?:_acoustic)?|apply_notice)\s*\("),
 )
 
-# The spatial funnel: production range queries go through the grid index.
-# Only its own implementation may write pairwise scans; tests and benches
-# are out of scope (they brute-force as the correctness/perf oracle).
-SPATIAL_ALLOWED = {
-    Path("src/wsn/spatial_index.h"), Path("src/wsn/spatial_index.cpp"),
-}
-
+# The spatial funnel: no file in src/ writes a pairwise scan; tests and
+# benches are out of scope (they brute-force as the correctness oracle).
 SPATIAL_PATTERNS = (
     # The triangular inner loop of an all-pairs scan: `j` starts one past
     # another index and walks the rest of the collection.
@@ -292,8 +287,7 @@ class Linter:
                          and not rel_posix.startswith(DEFENSE_FUNNEL_PREFIX))
         check_span = (rel_posix.startswith("src/")
                       and not rel_posix.startswith(SPAN_FUNNEL_PREFIX))
-        check_spatial = (rel_posix.startswith("src/")
-                         and rel not in SPATIAL_ALLOWED)
+        check_spatial = rel_posix.startswith("src/")
 
         for lineno, raw in enumerate(lines, start=1):
             allowed = {m for m in ALLOW_RE.findall(raw)}
@@ -335,9 +329,9 @@ class Linter:
                             "thread-funnel", path, lineno,
                             f"raw concurrency primitive "
                             f"'{m.group(0).strip()}' outside the "
-                            f"util::ThreadPool funnel — use "
-                            f"ThreadPool::parallel_for, whose per-index "
-                            f"contract keeps results schedule-independent")
+                            f"util::parallel_for funnel — use "
+                            f"parallel_for, whose per-index contract "
+                            f"keeps results schedule-independent")
             if check_mutex and "mutex-funnel" not in allowed:
                 for pat in MUTEX_PATTERNS:
                     m = pat.search(code)
@@ -347,7 +341,7 @@ class Linter:
                             f"raw locking primitive "
                             f"'{m.group(0).strip()}' outside "
                             f"src/util/thread_annotations.h — use the "
-                            f"annotated util::Mutex/LockGuard/CondVar so "
+                            f"annotated util::Mutex/LockGuard so "
                             f"-Wthread-safety sees the acquisition")
             if check_defense and "defense-funnel" not in allowed:
                 for pat in DEFENSE_FUNNEL_PATTERNS:
@@ -377,10 +371,10 @@ class Linter:
                         self.report(
                             "spatial-funnel", path, lineno,
                             f"all-pairs triangular scan "
-                            f"'{m.group(0).strip()}' outside "
-                            f"src/wsn/spatial_index — query the grid "
-                            f"index instead (its property test pins "
-                            f"byte-identity to the brute-force scan)")
+                            f"'{m.group(0).strip()}' in src/ — walk the "
+                            f"grid offsets within range, as "
+                            f"Network::build_adjacency does, or write "
+                            f"the scan as an offset loop")
             if "engine-funnel" not in allowed:
                 for pat in ENGINE_FUNNEL_PATTERNS:
                     m = pat.search(code)
@@ -486,7 +480,7 @@ def self_test() -> int:
         (src / "i.cpp").write_text(cases["oracle-prr"])
         (src / "j.cpp").write_text(cases["thread-funnel"])
         (src / "k.cpp").write_text(cases["thread-funnel-async"])
-        # The thread pool itself IS the funnel: exempt.
+        # parallel_for itself IS the funnel: exempt.
         util_dir = src / "util"
         util_dir.mkdir()
         (util_dir / "parallel.cpp").write_text(cases["thread-funnel"])
@@ -514,8 +508,7 @@ def self_test() -> int:
         # the obs layer itself (the macro's home) is exempt.
         (core_dir / "r.cpp").write_text(cases["span-funnel"])
         (obs / "span_ok.cpp").write_text(cases["span-funnel"])
-        # Spatial-funnel plant: a core-layer all-pairs scan; the index's
-        # own implementation is exempt.
+        # Spatial-funnel plant: a core-layer all-pairs scan.
         (core_dir / "s.cpp").write_text(cases["spatial-funnel"])
         # Engine-funnel plants: a test draining a network's global queue
         # directly is caught; a standalone EventQueue's run_all() and an
@@ -539,8 +532,6 @@ def self_test() -> int:
             " return node_operational(id, t); }\n")
         # ...and the defense funnel: the wsn layer may mutate freely.
         (wsn / "defense_user.cpp").write_text(cases["defense-funnel"])
-        # ...and the spatial index itself IS the funnel: exempt.
-        (wsn / "spatial_index.cpp").write_text(cases["spatial-funnel"])
 
         linter = Linter(root)
         rc = linter.run()
@@ -582,7 +573,7 @@ def self_test() -> int:
         if any("util/parallel.cpp" in v and "[thread-funnel]" in v
                for v in linter.violations):
             failures.append(
-                "thread-funnel fired inside the exempt pool funnel")
+                "thread-funnel fired inside the exempt parallel_for funnel")
         if any("l.cpp" in v and "[thread-funnel]" in v
                for v in linter.violations):
             failures.append("thread-funnel fired on std::this_thread")
@@ -594,10 +585,6 @@ def self_test() -> int:
                for v in linter.violations):
             failures.append(
                 "span-funnel fired inside the exempt src/obs/ tree")
-        if any("wsn/spatial_index.cpp" in v and "[spatial-funnel]" in v
-               for v in linter.violations):
-            failures.append(
-                "spatial-funnel fired inside the exempt index module")
         if any("queue_ok.cpp" in v and "[engine-funnel]" in v
                for v in linter.violations):
             failures.append(

@@ -238,12 +238,7 @@ ScenarioRun simulate_node_reports(const wsn::Network& network,
     run.truths[i] = std::move(truth);
   };
 
-  if (config.threads <= 1) {
-    for (std::size_t i = 0; i < nodes.size(); ++i) simulate_one(i);
-  } else {
-    util::ThreadPool pool(config.threads);
-    pool.parallel_for(nodes.size(), simulate_one);
-  }
+  util::parallel_for(config.threads, nodes.size(), simulate_one);
   return run;
 }
 

@@ -35,7 +35,7 @@ enum class Stage : std::size_t {
   kSynthesis,      ///< sensor-trace synthesis (ocean + wake + sensing)
   kEventDispatch,  ///< one event-queue callback (wsn/event_queue)
   kFusion,         ///< multi-modal accel+acoustic fusion (core/fusion)
-  kAdjacency,      ///< spatial-index adjacency build (wsn/network)
+  kAdjacency,      ///< grid-walk adjacency build (wsn/network)
   kShardWindow,    ///< one windowed-engine barrier window (wsn/network)
   kRouting,        ///< one unicast route search (wsn/network)
   kCount,

@@ -14,16 +14,16 @@
 //
 // This header is the single mutex funnel of the repository:
 // scripts/lint.py (rule `mutex-funnel`) bans raw std::mutex /
-// std::lock_guard / std::unique_lock / std::condition_variable
-// everywhere else, so all locking is visible to the analysis. The
-// ThreadSanitizer CI lane validates the same discipline dynamically
-// (EXPERIMENTS.md "TSan lane").
+// std::lock_guard / std::unique_lock everywhere else, and
+// std::condition_variable everywhere (nothing waits on one), so all
+// locking is visible to the analysis. The ThreadSanitizer CI lane
+// validates the same discipline dynamically (EXPERIMENTS.md "TSan
+// lane").
 #pragma once
 
 #include <atomic>
-#include <condition_variable>  // lint:allow mutex-funnel
-#include <mutex>               // lint:allow mutex-funnel
-#include <thread>              // lint:allow thread-funnel
+#include <mutex>   // lint:allow mutex-funnel
+#include <thread>  // lint:allow thread-funnel
 
 #include "util/check.h"
 
@@ -96,7 +96,6 @@ class SID_CAPABILITY("mutex") Mutex {
   void unlock() SID_RELEASE() { mu_.unlock(); }
 
  private:
-  friend class CondVar;  // wait() needs the native handle
   std::mutex mu_;  // lint:allow mutex-funnel
 };
 
@@ -111,37 +110,6 @@ class SID_SCOPED_CAPABILITY LockGuard {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable bound to the annotated Mutex. wait() requires the
-/// mutex to be held and holds it again on return — a net no-op for the
-/// capability analysis, so callers keep their LockGuard scope and loop on
-/// the predicate themselves:
-///
-///   LockGuard lock(mu_);
-///   while (!ready_) cv_.wait(mu_);
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Atomically releases `mu`, blocks until notified, and reacquires `mu`
-  /// before returning. Spurious wakeups are possible: always loop.
-  void wait(Mutex& mu) SID_REQUIRES(mu) {
-    // Adopt the already-held native mutex, wait, then release ownership
-    // back to the caller's guard without unlocking.
-    std::unique_lock<std::mutex> native(  // lint:allow mutex-funnel
-        mu.mu_, std::adopt_lock);
-    cv_.wait(native);
-    native.release();
-  }
-
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;  // lint:allow mutex-funnel
 };
 
 /// Capability for state that is confined to one thread rather than guarded

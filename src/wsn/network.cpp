@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <optional>
 #include <string_view>
 #include <unordered_set>
 #include <utility>
@@ -228,18 +229,17 @@ Network::Network(const NetworkConfig& config)
       clone_seqs_.push_back(atk.seq_base);
     }
     replay_captures_.assign(config_.attacks.replays.size(), 0);
-    // Precompute each replay attacker's hearing set (nodes within radio
-    // range) from the spatial index: maybe_capture then tests path hops
-    // with an O(1) lookup instead of a per-hop distance scan. Same
-    // predicate as before (Radio::in_range over deployed anchors).
+    // Each replay attacker hears itself and every node within radio
+    // range. Attacks run under self-healing routing, whose adjacency
+    // admits exactly those nodes, so the hearing set is read off the
+    // attacker's slot range; maybe_capture then tests a hop with one
+    // lookup.
     replay_hearing_.assign(config_.attacks.replays.size(), {});
     for (std::size_t i = 0; i < config_.attacks.replays.size(); ++i) {
+      const NodeId attacker = config_.attacks.replays[i].attacker;
       replay_hearing_[i].assign(nodes_.size(), 0);
-      const util::Vec2 at = nodes_[config_.attacks.replays[i].attacker].anchor;
-      for (const SpatialIndex::PointId v :
-           spatial_index_.query(at, radio_.config().max_range_m)) {
-        replay_hearing_[i][v] = 1;
-      }
+      replay_hearing_[i][attacker] = 1;
+      for (const NodeId v : neighbors(attacker)) replay_hearing_[i][v] = 1;
     }
   }
   if (config_.defense.enabled) {
@@ -288,46 +288,82 @@ void Network::build_adjacency() {
   // is *used* is decided by the learned neighbor tables, never by the
   // model's true PRR.
   const bool oracle = config_.routing == RoutingMode::kOracle;
-  std::vector<util::Vec2> anchors;
-  anchors.reserve(nodes_.size());
-  for (const NodeInfo& info : nodes_) anchors.push_back(info.anchor);
-  // Cell edge = radio range: candidate gathering is O(neighborhood), so
-  // the whole build is O(N * degree) instead of the historical O(N^2)
-  // pairwise scan. Queries return ascending ids and apply the exact
-  // in-range predicate, so each node's slot range holds exactly the list
-  // the triangular loop this replaces produced.
-  spatial_index_ = SpatialIndex(anchors, radio_.config().max_range_m);
-  links_ = LinkSlots{};
-  links_.offsets.reserve(nodes_.size() + 1);
-  link_base_.assign(nodes_.size(), 0);
-  std::size_t lower_slots = 0;  // slots toward a lower id, so far
-  std::vector<SpatialIndex::PointId> candidates;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    spatial_index_.query(anchors[i], radio_.config().max_range_m, candidates);
-    for (const SpatialIndex::PointId j : candidates) {
-      if (j == i) continue;
-      const double d = util::distance(nodes_[i].anchor, nodes_[j].anchor);
-      if (!radio_.in_range(d)) continue;
-      if (oracle && radio_.prr(d) < kOracleMinLinkPrr) continue;
-      const auto slot = static_cast<std::uint32_t>(links_.ids.size());
-      links_.ids.push_back(nodes_[j].id);
-      links_.reverse.push_back(0);
-      if (j < i) {
-        // The lower end's range is complete: pair the two slots.
-        const std::size_t back = slot_of(nodes_[j].id, nodes_[i].id);
-        links_.reverse[slot] = static_cast<std::uint32_t>(back);
-        links_.reverse[back] = slot;
-        ++lower_slots;
+  const auto link_length = [&](std::size_t i,
+                               std::size_t j) -> std::optional<double> {
+    const double d = util::distance(nodes_[i].anchor, nodes_[j].anchor);
+    if (!radio_.in_range(d)) return std::nullopt;
+    if (oracle && radio_.prr(d) < kOracleMinLinkPrr) return std::nullopt;
+    return d;
+  };
+  // Grid walk: build_grid puts id r * cols + c at (c * D, r * D), so no
+  // node more than floor(R / D) grid steps away in either axis is in
+  // range. The walk reaches one step further, so a link that rounding
+  // puts exactly at R is never missed. R may be +inf: clamp the reach
+  // before converting it.
+  const std::size_t rows = config_.rows;
+  const std::size_t cols = config_.cols;
+  const auto reach = static_cast<std::size_t>(std::min(
+      std::floor(radio_.config().max_range_m / config_.spacing_m) + 1.0,
+      static_cast<double>(std::max(rows, cols))));
+  // Every link is symmetric (distance only flips the sign of each
+  // coordinate difference), so the walk covers the half of the square
+  // toward higher ids, the rest of i's row and then the next rows, in
+  // ascending id order, and each link is filed under both ends.
+  const auto walk_higher = [&](std::size_t i, const auto& visit) {
+    const std::size_t r = i / cols;
+    const std::size_t c = i % cols;
+    const std::size_t c_first = c > reach ? c - reach : 0;
+    const std::size_t c_last = std::min(c + reach, cols - 1);
+    const std::size_t r_last = std::min(r + reach, rows - 1);
+    for (std::size_t row = r; row <= r_last; ++row) {
+      const std::size_t first = row == r ? c + 1 : c_first;
+      for (std::size_t col = first; col <= c_last; ++col) {
+        visit(row * cols + col);
       }
-      longest_link_m_ = std::max(longest_link_m_, d);
     }
-    util::require(links_.ids.size() <= 0xFFFFFFFFu,
-                  "Network: too many links for 32-bit slots");
-    links_.offsets.push_back(static_cast<std::uint32_t>(links_.ids.size()));
-    link_base_[i] = static_cast<std::uint32_t>(lower_slots);
+  };
+  // Counting pass: sizes every array exactly before it is filled.
+  const std::size_t n = nodes_.size();
+  links_ = LinkSlots{};
+  std::vector<std::uint32_t>& offsets = links_.offsets;
+  offsets.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    walk_higher(i, [&](std::size_t j) {
+      if (!link_length(i, j)) return;
+      ++offsets[i + 1];
+      ++offsets[j + 1];
+    });
   }
-  links_.ids.shrink_to_fit();
-  links_.reverse.shrink_to_fit();
+  std::size_t slots = 0;
+  for (std::size_t i = 1; i <= n; ++i) {
+    slots += offsets[i];
+    util::require(slots <= 0xFFFFFFFFu,
+                  "Network: too many links for 32-bit slots");
+    offsets[i] = static_cast<std::uint32_t>(slots);
+  }
+  links_.ids.resize(slots);
+  links_.reverse.resize(slots);
+  link_base_.assign(n, 0);
+  // Filling pass. Node i's range takes its lower neighbors while they are
+  // walked, all before i is, then its higher ones in walk order: each
+  // range ends up ascending, the order the tables and routes rely on.
+  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  std::size_t lower_slots = 0;  // slots toward a lower id, nodes 0..i
+  for (std::size_t i = 0; i < n; ++i) {
+    lower_slots += cursor[i] - offsets[i];
+    link_base_[i] = static_cast<std::uint32_t>(lower_slots);
+    walk_higher(i, [&](std::size_t j) {
+      const std::optional<double> d = link_length(i, j);
+      if (!d) return;
+      const std::uint32_t ij = cursor[i]++;  // i's slot for j
+      const std::uint32_t ji = cursor[j]++;  // j's slot for i
+      links_.ids[ij] = static_cast<NodeId>(j);
+      links_.ids[ji] = static_cast<NodeId>(i);
+      links_.reverse[ij] = ji;
+      links_.reverse[ji] = ij;
+      longest_link_m_ = std::max(longest_link_m_, *d);
+    });
+  }
 }
 
 void Network::boot_discovery() {
@@ -340,20 +376,6 @@ void Network::boot_discovery() {
   // from the model parameters themselves. Commissioning energy is out of
   // scope (batteries are topped up at deployment).
   links_.learn();
-  const double extra_loss = radio_.config().extra_loss_probability;
-  // A grid has a handful of link lengths, so the reception probability
-  // of each is computed once. The memo is exact: prr is a pure function
-  // of the length.
-  constexpr std::size_t kMaxLengths = 16;
-  std::vector<std::pair<double, double>> p_by_length;
-  const auto reception_p = [&](double d) {
-    for (const auto& [length, p] : p_by_length) {
-      if (length == d) return p;
-    }
-    const double p = radio_.prr(d) * (1.0 - extra_loss);
-    if (p_by_length.size() < kMaxLengths) p_by_length.emplace_back(d, p);
-    return p;
-  };
   // A booted link depends on its round outcomes alone, so each slot
   // draws its rounds into a pattern and copies that pattern's link.
   const NeighborTable::BootTable boot = NeighborTable::boot_table();
@@ -372,6 +394,16 @@ void Network::boot_discovery() {
       links_.cost[k] = boot.cost[pattern];
     }
   }
+}
+
+double Network::reception_p(double d) {
+  for (const auto& [length, p] : p_by_length_) {
+    if (length == d) return p;
+  }
+  const double p =
+      radio_.prr(d) * (1.0 - radio_.config().extra_loss_probability);
+  if (p_by_length_.size() < kMaxMemoLengths) p_by_length_.emplace_back(d, p);
+  return p;
 }
 
 NodeInfo& Network::node(NodeId id) {
@@ -476,13 +508,12 @@ void Network::beacon_tick(NodeId id) {
   rec.sender = id;
   // The sweep mutates only the sender's own slots.
   rec.suspects = table(id).sweep(t);
-  const double extra_loss = radio_.config().extra_loss_probability;
   for (std::uint32_t k = links_.offsets[id]; k < links_.offsets[id + 1];
        ++k) {
     const NodeId v = links_.ids[k];
     if (!node_operational(v, t)) continue;  // dead radios hear nothing
-    const double d = util::distance(nodes_[id].anchor, nodes_[v].anchor);
-    const double p = radio_.prr(d) * (1.0 - extra_loss);
+    const double p =
+        reception_p(util::distance(nodes_[id].anchor, nodes_[v].anchor));
     // Reception sampling from the sender's own stream (PRR and static
     // extra loss). The *shared* fault streams (congestion windows,
     // Gilbert-Elliott chains) are applied at commit, in canonical order.
@@ -1366,12 +1397,10 @@ void Network::spoof_tick(std::size_t index) {
     counters_.attack_beacon_spoofs.add();
     nodes_[atk.attacker].energy.spend_tx(kBeaconBytes);
     counters_.bytes_sent.add(kBeaconBytes);
-    const double extra_loss = radio_.config().extra_loss_probability;
     for (const NodeId v : neighbors(atk.attacker)) {
       if (!node_operational(v, t)) continue;
-      const double d =
-          util::distance(nodes_[atk.attacker].anchor, nodes_[v].anchor);
-      const double p = radio_.prr(d) * (1.0 - extra_loss);
+      const double p = reception_p(
+          util::distance(nodes_[atk.attacker].anchor, nodes_[v].anchor));
       if (!attack_rng_.bernoulli(p)) continue;
       nodes_[v].energy.spend_rx(kBeaconBytes);
       if (!qview_.empty() && qview_[v][atk.spoofed] != 0) continue;
@@ -1398,9 +1427,9 @@ void Network::maybe_capture(const Message& msg,
     if (replay_captures_[i] >= atk.max_captures) continue;
     if (!can_execute(atk.attacker, t)) continue;
     // The attacker overhears the shared medium: any transmitting relay
-    // within radio range leaks the frame. The hearing set was precomputed
-    // from the spatial index at construction, so this is O(hops) rather
-    // than O(hops) distance computations per delivered message.
+    // within radio range leaks the frame. The hearing set was read off
+    // the adjacency at construction, so a hop costs one lookup rather
+    // than a distance computation.
     bool heard = false;
     for (std::size_t h = 0; h + 1 < path.size(); ++h) {
       if (replay_hearing_[i][path[h]] != 0) {

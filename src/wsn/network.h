@@ -16,6 +16,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -31,7 +32,6 @@
 #include "wsn/messages.h"
 #include "wsn/neighbor.h"
 #include "wsn/radio.h"
-#include "wsn/spatial_index.h"
 
 namespace sid::wsn {
 
@@ -334,13 +334,20 @@ class Network {
 
  private:
   void build_grid();
-  /// Builds the CSR adjacency (links_.offsets and ids), link_base_ and
-  /// longest_link_m_ from one spatial query per node.
+  /// Builds the CSR adjacency (links_.offsets, ids and reverse),
+  /// link_base_ and longest_link_m_ by walking each node's square of
+  /// grid offsets within radio range.
   void build_adjacency();
   /// Deployment-time neighbor discovery (self-healing mode): allocates
   /// the learned state of every slot and seeds every node's table from a
   /// few physically-sampled boot beacon rounds.
   void boot_discovery();
+  /// prr(d) * (1 - extra loss): the chance that a node hears one
+  /// transmission over a deployed link of length d. Memoized by exact
+  /// length (prr is a pure function of it, and a grid has a handful of
+  /// lengths); boot discovery visits every link at construction, so the
+  /// memo is complete, or full, before any beacon or spoof reads it.
+  double reception_p(double d);
   /// Node `id`'s neighbor table: a view of its slots.
   NeighborTable table(NodeId id) { return NeighborTable(links_, id); }
   /// The slot of u's link to v; the pair must be deployment neighbors
@@ -499,13 +506,13 @@ class Network {
   /// Length of the longest deployed link (0 when there is none): the
   /// route search's lower bound divides by it.
   double longest_link_m_ = 0.0;
-  /// Uniform grid over the deployed anchors (cell = radio range); built
-  /// once at construction, reused by the adjacency build and the replay
-  /// capture precomputation.
-  SpatialIndex spatial_index_;
+  /// reception_p's memo: (length, probability) for the first
+  /// kMaxMemoLengths distinct link lengths; a length past the cap is
+  /// computed on every call.
+  static constexpr std::size_t kMaxMemoLengths = 16;
+  std::vector<std::pair<double, double>> p_by_length_;
   /// Per-replay-attack hearing sets: replay_hearing_[i][v] != 0 when node
-  /// v sits within radio range of replay attacker i (precomputed via the
-  /// spatial index; replaces the per-hop O(N) distance scan).
+  /// v is replay attacker i or one of its radio neighbors.
   std::vector<std::vector<std::uint8_t>> replay_hearing_;
   /// The beacon plane's event lane: every node's ticks (phase A).
   EventQueue beacon_lane_;

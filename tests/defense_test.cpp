@@ -411,5 +411,45 @@ TEST(DefenseNetworkTest, ReplayerCapturesAndReinjectsInWindowTraffic) {
   EXPECT_GT(sink_reports, 0u);
 }
 
+// A replayer hears a relay exactly at radio range (the boundary is
+// inclusive) and nothing one grid step further. On a 1x5 line at 35 m
+// the report 4 -> 2 is relayed by node 3 alone; node 1 sits exactly
+// 70 m from that relay and 105 m from the source, node 0 105 m and
+// 140 m away.
+TEST(DefenseNetworkTest, ReplayerHearsTheRelayExactlyAtRadioRange) {
+  const auto replays_by = [](NodeId attacker) {
+    NetworkConfig cfg = line_config(5, /*defended=*/false);
+    cfg.spacing_m = 35.0;
+    ReplayAttack replay;
+    replay.attacker = attacker;
+    replay.capture_start_s = 0.0;
+    replay.capture_end_s = 60.0;
+    replay.replay_delay_s = 10.0;
+    replay.max_captures = 4;
+    cfg.attacks.replays.push_back(replay);
+    Network net(cfg);
+    const auto route = net.route(4, 2);
+    EXPECT_EQ(route, (std::vector<NodeId>{4, 3, 2}));
+    net.set_delivery_handler([](NodeId, const Message&, double) {});
+    net.start_beacons(100.0);
+    net.start_adversary(100.0);
+    std::vector<util::Vec2> anchors;
+    for (NodeId id = 0; id < 5; ++id) anchors.push_back(net.node(id).anchor);
+    std::uint32_t seq = 0;
+    for (double t : {5.0, 15.0, 25.0}) {
+      net.events().schedule_at(t, [&net, &anchors, seq] {
+        Message msg = report_msg(4, anchors, seq);
+        msg.dst = 2;
+        net.unicast(msg);
+      });
+      ++seq;
+    }
+    net.run_events();
+    return net.stats().attack_replays;
+  };
+  EXPECT_GT(replays_by(1), 0u);
+  EXPECT_EQ(replays_by(0), 0u);
+}
+
 }  // namespace
 }  // namespace sid::wsn

@@ -1,10 +1,10 @@
 // Concurrency stress for the shared-state surfaces the thread-safety
-// annotations guard (DESIGN.md §5i): ThreadPool job handoff, Counter
-// atomics, the Histogram record mutex, Registry creation/dump locks, the
-// process-global FFT plan cache, and Tracer line serialization. Exact
-// totals are asserted, so lost updates — not just torn reads — fail the
-// test. The TSan CI lane runs this binary under -fsanitize=thread
-// (ctest label: stress).
+// annotations guard (DESIGN.md §5i), driven through util::parallel_for:
+// index claiming across one-shot workers, Counter atomics, the Histogram
+// record mutex, Registry creation/dump locks, the process-global FFT
+// plan cache, and Tracer line serialization. Exact totals are asserted,
+// so lost updates — not just torn reads — fail the test. The TSan CI
+// lane runs this binary under -fsanitize=thread (ctest label: stress).
 #include <gtest/gtest.h>
 
 #include <complex>
@@ -29,7 +29,6 @@ constexpr std::size_t kRounds = 25;
 constexpr std::size_t kIndices = 400;  // divisible by 4, 10 and 16 below
 
 TEST(ParallelStressTest, SharedSurfacesKeepExactTotals) {
-  util::ThreadPool pool(kThreads);
   obs::Registry registry;
   obs::Counter& hits = registry.counter("stress.hits");
   obs::Histogram& hist =
@@ -39,7 +38,7 @@ TEST(ParallelStressTest, SharedSurfacesKeepExactTotals) {
   tracer.attach(&trace_out);
 
   for (std::size_t round = 0; round < kRounds; ++round) {
-    pool.parallel_for(kIndices, [&](std::size_t i) {
+    util::parallel_for(kThreads, kIndices, [&](std::size_t i) {
       // Pre-resolved reference (hot path) and per-call registry lookup
       // (creation/lookup lock) both run from every worker.
       hits.add(1);
@@ -115,18 +114,20 @@ TEST(ParallelStressTest, SharedSurfacesKeepExactTotals) {
   EXPECT_EQ(line_count, total);
 }
 
-// The pool's generation/condvar handoff under rapid tiny jobs: each job
-// must run its body exactly n times even when jobs are far smaller than
-// the worker wake-up latency.
+// Rapid tiny one-shot calls: each must run its body exactly n times even
+// when the job is far smaller than a worker's start-up latency, so the
+// caller often claims everything before a helper claims anything.
 TEST(ParallelStressTest, RapidSmallJobsNeverLoseIndices) {
-  util::ThreadPool pool(kThreads);
+  constexpr std::size_t kCalls = 42;
   obs::Counter executed;
-  for (std::size_t round = 0; round < 400; ++round) {
+  for (std::size_t round = 0; round < kCalls; ++round) {
     const std::size_t n = 1 + round % 7;
-    pool.parallel_for(n, [&](std::size_t) { executed.add(1); });
+    util::parallel_for(kThreads, n, [&](std::size_t) { executed.add(1); });
   }
   std::uint64_t expected = 0;
-  for (std::size_t round = 0; round < 400; ++round) expected += 1 + round % 7;
+  for (std::size_t round = 0; round < kCalls; ++round) {
+    expected += 1 + round % 7;
+  }
   EXPECT_EQ(executed.value(), expected);
 }
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -511,43 +512,71 @@ TEST(NetworkTest, LinkBurstOffTheAdjacencyThrows) {
 }
 
 // Every deployed link has one slot per direction, fixed at construction
-// (DESIGN.md §5f): each node's slot range is exactly its spatial-query
-// neighbor list, the tables read the same ids, and each slot's reverse
-// is the other end's slot for the same link.
-TEST(NetworkTest, SlotLayoutMatchesTheSpatialQuery) {
+// (DESIGN.md §5f): each node's slot range is exactly the neighbor list a
+// brute-force scan of every pair admits, ascending; the tables read the
+// same ids, and each slot's reverse is the other end's slot for the same
+// link. The fields stress the grid walk's edges: non-square and
+// single-column grids, R / D exactly 2 (the 70 m links at 35 m spacing
+// sit on the range boundary), a range that covers the whole field, an
+// infinite range (the walk's reach is clamped before it becomes an
+// integer), no links at all, and oracle admission.
+TEST(NetworkTest, SlotLayoutMatchesABruteForceScan) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   struct Field {
     std::size_t rows;
     std::size_t cols;
     double spacing_m;
+    RoutingMode routing = RoutingMode::kSelfHealing;
+    double max_range_m = RadioConfig{}.max_range_m;
   };
-  const Field fields[] = {
-      {1, 30, 25.0}, {12, 12, 25.0}, {12, 12, 40.0}, {12, 12, 80.0}};
+  const Field fields[] = {{1, 30, 25.0},
+                          {12, 12, 25.0},
+                          {12, 12, 40.0},
+                          {12, 12, 80.0},
+                          {3, 17, 25.0},
+                          {17, 1, 25.0},
+                          {9, 9, 35.0},
+                          {6, 6, 5.0},
+                          {4, 5, 25.0, RoutingMode::kSelfHealing, kInf},
+                          {12, 12, 25.0, RoutingMode::kOracle}};
   for (const Field& f : fields) {
     NetworkConfig cfg;
     cfg.rows = f.rows;
     cfg.cols = f.cols;
     cfg.spacing_m = f.spacing_m;
+    cfg.routing = f.routing;
+    cfg.radio.max_range_m = f.max_range_m;
+    const bool oracle = f.routing == RoutingMode::kOracle;
     const Network net(cfg);
+    const Radio radio(cfg.radio);
     const std::size_t n = net.node_count();
+    for (NodeId u = 0; u < n; ++u) {
+      std::vector<NodeId> expected;
+      for (NodeId v = 0; v < n; ++v) {
+        const double d =
+            util::distance(net.node(u).anchor, net.node(v).anchor);
+        // 0.7: the oracle's PRR admission threshold (wsn/network.cpp).
+        if (v != u && radio.in_range(d) && (!oracle || radio.prr(d) >= 0.7)) {
+          expected.push_back(v);
+        }
+      }
+      const auto got = net.neighbors(u);
+      ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()), expected)
+          << f.rows << "x" << f.cols << " " << f.spacing_m
+          << " m field, oracle " << oracle << ", node " << u;
+    }
+    if (oracle) continue;  // no tables, so no slots to check
     const LinkSlots& links = net.neighbor_table(0).links();
     ASSERT_EQ(links.offsets.size(), n + 1);
     ASSERT_EQ(links.offsets.back(), links.ids.size());
     ASSERT_EQ(links.reverse.size(), links.ids.size());
     ASSERT_EQ(links.cost.size(), links.ids.size());
     ASSERT_EQ(links.state.size(), links.ids.size());
+    // Exact sizing: no slack capacity behind the slots.
+    EXPECT_EQ(links.ids.capacity(), links.ids.size());
+    EXPECT_EQ(links.reverse.capacity(), links.reverse.size());
     for (NodeId u = 0; u < n; ++u) {
-      // Brute force, ascending: the lists the triangular scan produced.
-      std::vector<NodeId> expected;
-      for (NodeId v = 0; v < n; ++v) {
-        if (v != u && util::distance(net.node(u).anchor,
-                                     net.node(v).anchor) <=
-                          cfg.radio.max_range_m) {
-          expected.push_back(v);
-        }
-      }
       const auto got = net.neighbors(u);
-      ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()), expected)
-          << f.spacing_m << " m field, node " << u;
       const NeighborTable table = net.neighbor_table(u);
       ASSERT_EQ(table.first_slot(), links.offsets[u]);
       ASSERT_EQ(table.end_slot(), links.offsets[u + 1]);
@@ -566,6 +595,15 @@ TEST(NetworkTest, SlotLayoutMatchesTheSpatialQuery) {
     }
     if (f.spacing_m == 80.0) {
       EXPECT_TRUE(links.ids.empty());
+    }
+    if (f.spacing_m == 35.0) {
+      // R / D = 2 exactly: two steps along a row or a column is a link.
+      EXPECT_TRUE(net.neighbor_table(0).slot_of(2).has_value());
+      EXPECT_TRUE(net.neighbor_table(0).slot_of(net.id_at(2, 0)).has_value());
+    }
+    if (f.spacing_m == 5.0 || f.max_range_m == kInf) {
+      // The range covers the whole field: every pair is a link.
+      EXPECT_EQ(links.ids.size(), n * (n - 1));
     }
   }
 }
